@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 from . import asm
 from .errors import (
@@ -54,7 +55,6 @@ class RunConfig:
     entry: str | None = None
     esp: int = DEFAULT_ESP
     trace: bool = False
-    protect_debug: bool = False
     seed: int = 0
 
 
@@ -71,7 +71,7 @@ def _default_seed() -> int:
 
 def cmd_asm(source_path: str, out_path: str | None = None) -> int:
     try:
-        text = open(source_path, encoding="utf-8").read()
+        text = Path(source_path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -134,7 +134,7 @@ def cmd_run(image_path: str, config: RunConfig) -> int:
         machine, steps = concrete, report.steps
         _print_final(machine, steps)
         print(f"correspondence verified at {report.steps} steps, "
-              f"{report.addresses_checked} sampled addresses")
+              f"{report.addresses_checked} addresses compared")
     else:
         backend = {"paged": PagedMemory, "sparse": SparseMemory}.get(config.backend)
         if backend is None:

@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from ..errors import InjectedFault
 from ..isa import MASK32, AluFn, Cond, Flags, Instruction, Kind, Status, encode
-from ..machine import Machine
+from ..machine import Machine, state_mismatch
 from ..mem_paged import MEM_SIZE, PagedMemory
 from ..mem_sparse import SparseMemory
 from .core import CaseSource, DualState, Export, LockstepSpec
@@ -411,11 +411,7 @@ def _y86_corr(concrete, abstract, cap: int = 256) -> bool:
             and concrete.mem.wellformed()
             and _y86_recognizer(abstract)):
         return False
-    if (concrete.regs != abstract.regs
-            or concrete.eip != abstract.eip
-            or (concrete.zf, concrete.sf, concrete.of)
-            != (abstract.zf, abstract.sf, abstract.of)
-            or concrete.status is not abstract.status):
+    if state_mismatch(concrete, abstract) is not None:
         return False
     touched = abstract.mem.touched()
     if len(touched) > cap:

@@ -12,11 +12,13 @@ against the cached instruction spans so self-modifying code re-decodes.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import CorrespondenceFailure, InvalidInstruction
 from .isa import (
     MASK32,
+    REGISTER_NAMES,
     Flags,
     Instruction,
     Kind,
@@ -26,8 +28,10 @@ from .isa import (
     decode,
     format_instruction,
 )
+from .mem_paged import SENTINEL
 
-__all__ = ["Machine", "LockstepReport", "run_in_lockstep", "ESP"]
+__all__ = ["Machine", "LockstepReport", "run_in_lockstep", "state_mismatch",
+           "ESP"]
 
 ESP = 4  # stack pointer register number
 
@@ -338,63 +342,126 @@ class Machine:
 # ---------------------------------------------------------------------------
 # differential execution of two backends
 
+# Eips of the most recent steps quoted in a divergence report.
+_RECENT_STEPS = 8
+
+
 @dataclass(frozen=True)
 class LockstepReport:
     steps: int
     addresses_checked: int
 
 
-def _check_agreement(concrete, abstract, addr_iter, step):
-    count = 0
-    for addr in addr_iter:
-        got, want = concrete.read_byte(addr), abstract.read_byte(addr)
+def state_mismatch(concrete: Machine, abstract: Machine):
+    """The first non-memory field on which two machines differ.
+
+    Returns (field, concrete value, abstract value) as strings, registers
+    named as in `REGISTER_NAMES`, or None when regs, eip, flags and
+    status all agree.
+    """
+    c, a = concrete, abstract
+    if (c.regs == a.regs and c.eip == a.eip and c.zf == a.zf
+            and c.sf == a.sf and c.of == a.of and c.status is a.status):
+        return None
+    for name, got, want in zip(REGISTER_NAMES, c.regs, a.regs):
         if got != want:
-            raise CorrespondenceFailure(
-                f"memories disagree at {addr:#x} after step {step}: "
-                f"concrete {got} vs abstract {want}")
-        count += 1
-    return count
+            return f"%{name}", f"{got:#x}", f"{want:#x}"
+    if c.eip != a.eip:
+        return "eip", f"{c.eip:#x}", f"{a.eip:#x}"
+    if (c.zf, c.sf, c.of) != (a.zf, a.sf, a.of):
+        return "flags", f"{c.zf}{c.sf}{c.of}", f"{a.zf}{a.sf}{a.of}"
+    return "status", c.status.value, a.status.value
+
+
+def _divergence(when: str, field: str, got, want, recent) -> CorrespondenceFailure:
+    trail = " ".join(f"{eip:#x}" for eip in recent) or "none"
+    return CorrespondenceFailure(
+        f"lockstep diverged {when}: {field} is {got} concrete vs {want} "
+        f"abstract; eips of the last {len(recent)} steps: {trail}")
+
+
+def _compare_memory(concrete, abstract, addrs, steps, recent,
+                    final=False) -> int:
+    """Compare both memories at `addrs`; returns how many were compared."""
+    cread, aread = concrete.mem.read, abstract.mem.read
+    for addr in addrs:
+        if cread(addr) != aread(addr):
+            when = (f"in the final sweep after step {steps}" if final
+                    else f"at step {steps}")
+            raise _divergence(when, f"memory at {addr:#x}",
+                              f"{cread(addr):#04x}", f"{aread(addr):#04x}",
+                              recent)
+    return len(addrs)
 
 
 def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
-                    seed: int = 0, sample: int = 32,
-                    touched_cap: int = 256) -> LockstepReport:
+                    seed: int = 0, sample: int = 32) -> LockstepReport:
     """Step two machines together, checking agreement after every step.
 
-    `abstract` must use a sparse backend (its touched set drives the
-    memory comparison); additionally `sample` random addresses are probed
-    each step.  Raises CorrespondenceFailure on the first divergence.
+    `concrete` must use a paged backend and `abstract` a sparse one.
+    After every step the machines must agree on regs, eip, flags and
+    status, and on each address that either of them wrote during that
+    step; `sample` more addresses, drawn at random inside the blocks the
+    paged memory has allocated, are probed as well.  A final sweep
+    compares every address the sparse memory holds.  Raises
+    CorrespondenceFailure on the first divergence, naming the step, the
+    differing field or address, both values and the last few eips.
     """
     if not hasattr(abstract.mem, "touched"):
         raise TypeError("abstract machine must use a sparse memory backend")
-    rng = random.Random(seed)
-    checked = 0
-    steps = 0
-    while steps < n and abstract.status is Status.AOK:
-        concrete.step()
-        abstract.step()
-        steps += 1
-        if (concrete.regs != abstract.regs
-                or concrete.eip != abstract.eip
-                or (concrete.zf, concrete.sf, concrete.of)
-                != (abstract.zf, abstract.sf, abstract.of)
-                or concrete.status is not abstract.status):
-            raise CorrespondenceFailure(
-                f"machine state diverged at step {steps}: "
-                f"concrete eip={concrete.eip:#x}/{concrete.status.value} vs "
-                f"abstract eip={abstract.eip:#x}/{abstract.status.value}")
-        touched = abstract.mem.touched()
-        if len(touched) > touched_cap:
-            ordered = sorted(touched)
-            stride = len(ordered) // touched_cap
-            probe = ordered[::stride]
-        else:
-            probe = touched
-        checked += _check_agreement(concrete, abstract, probe, steps)
-        checked += _check_agreement(
-            concrete, abstract,
-            (rng.getrandbits(32) for _ in range(sample)), steps)
-    # Final full sweep over every touched address.
-    checked += _check_agreement(
-        concrete, abstract, sorted(abstract.mem.touched()), steps)
+    if not hasattr(concrete.mem, "table"):
+        raise TypeError("concrete machine must use a paged memory backend")
+    getrandbits = random.Random(seed).getrandbits
+    recent = deque(maxlen=_RECENT_STEPS)
+    checked = steps = 0
+    allocated = -1
+    blocks: list[int] = []
+    # Each machine records its writes in a fresh per-step set; they are
+    # merged back so that a later reload(keep_icache=True) still sees them.
+    c_seen, a_seen = concrete._writes_since_reload, abstract._writes_since_reload
+    c_step, a_step = set(), set()
+    concrete._writes_since_reload = c_step
+    abstract._writes_since_reload = a_step
+    try:
+        while steps < n and abstract.status is Status.AOK:
+            recent.append(abstract.eip)
+            concrete.step()
+            abstract.step()
+            steps += 1
+            mismatch = state_mismatch(concrete, abstract)
+            if mismatch is not None:
+                raise _divergence(f"at step {steps}", *mismatch, recent)
+            if c_step or a_step:
+                checked += _compare_memory(concrete, abstract, c_step | a_step,
+                                           steps, recent)
+                _merge_writes(concrete, c_seen, c_step)
+                _merge_writes(abstract, a_seen, a_step)
+            mem = concrete.mem
+            if mem.next_addr != allocated:
+                allocated = mem.next_addr
+                blocks = [top << 24 for top, base in enumerate(mem.table)
+                          if base != SENTINEL]
+            if blocks:
+                # The top byte of each draw picks a block, the rest an offset.
+                probes = [blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
+                          for x in map(getrandbits, [32] * sample)]
+                checked += _compare_memory(concrete, abstract, probes, steps,
+                                           recent)
+    finally:
+        _merge_writes(concrete, c_seen, c_step)
+        _merge_writes(abstract, a_seen, a_step)
+        concrete._writes_since_reload = c_seen
+        abstract._writes_since_reload = a_seen
+    checked += _compare_memory(concrete, abstract,
+                               sorted(abstract.mem.touched()), steps, recent,
+                               final=True)
     return LockstepReport(steps=steps, addresses_checked=checked)
+
+
+def _merge_writes(machine: Machine, seen: set[int], step: set[int]) -> None:
+    """Move one step's writes into the machine's since-reload set."""
+    if len(seen) < _WRITE_TRACK_LIMIT:
+        seen |= step
+    elif step:
+        machine._writes_overflow = True
+    step.clear()

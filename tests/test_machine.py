@@ -1,6 +1,7 @@
 """Processor model: init, instruction semantics, run, backend equivalence."""
 
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from y86sim.isa import (
     Status,
 )
 from y86sim.machine import ESP, Machine, run_in_lockstep
-from y86sim.mem_paged import PagedMemory
+from y86sim.mem_paged import PAGE_SIZE, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
 EAX, ECX, EDX, EBX = 0, 1, 2, 3
@@ -357,6 +358,107 @@ def test_lockstep_stress_program(stress_assembled):
     report = run_in_lockstep(concrete, abstract, 300, seed=9)
     assert concrete.status is Status.HLT
     assert report.addresses_checked > 100
+
+
+# Steps 1-4 are irmovl, rmmovl (stores at 0x100..0x103), addl, jmp; every
+# third step from then on stores one byte higher.  0x200 holds data.
+STORE_LOOP = (
+    "main:\n"
+    "  irmovl $1, %edi\n"
+    "loop:\n"
+    "  rmmovl %ebx, 0x100(%ebx)\n"
+    "  addl %edi, %ebx\n"
+    "  jmp loop\n"
+    ".pos 0x200\n"
+    "  .byte 0x5a\n")
+
+
+def lockstep_pair(source, concrete_class=Machine):
+    image, _ = asm.assemble(asm.parse(source))
+    concrete = concrete_class(PagedMemory(), esp=8192, image=image)
+    abstract = Machine(SparseMemory(), esp=8192, image=image)
+    return concrete, abstract
+
+
+class StrayWriter(Machine):
+    """Stores a stray 0xee at `addr ^ 0x1000` beside every byte it writes."""
+
+    def write_byte(self, addr, value):
+        super().write_byte(addr, value)
+        super().write_byte(addr ^ 0x1000, 0xEE)
+
+
+def test_lockstep_catches_stray_write_at_its_step():
+    concrete, abstract = lockstep_pair(STORE_LOOP, StrayWriter)
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 100)
+    assert re.search(r"at step 2: memory at 0x110[0-3] is 0xee concrete "
+                     r"vs 0x00 abstract", str(info.value))
+    assert str(info.value).endswith("eips of the last 2 steps: 0x0 0x6")
+
+
+def test_lockstep_names_address_of_corrupted_paged_write(monkeypatch):
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    write = PagedMemory.write
+
+    def flip_one_bit(self, addr, value):
+        return write(self, addr, value ^ 1 if addr == 0x104 else value)
+
+    monkeypatch.setattr(PagedMemory, "write", flip_one_bit)
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 100)
+    # 0x104 is first written at step 5, by the second rmmovl.
+    assert "at step 5: memory at 0x104 is 0x01 concrete vs 0x00 abstract" \
+        in str(info.value)
+
+
+def test_lockstep_probes_catch_corrupted_allocated_block():
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    # Corrupt block 0 above the image, where no step writes.
+    concrete.mem.array[0x1000:PAGE_SIZE] = bytes([1]) * (PAGE_SIZE - 0x1000)
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 100)
+    assert re.search(r"at step 1: memory at 0x[0-9a-f]+ is 0x01 concrete "
+                     r"vs 0x00 abstract", str(info.value))
+
+
+def test_lockstep_final_sweep_catches_unrecorded_store():
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    concrete.mem.write(0x200, 0x5B)  # bypasses both machines' write sets
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 20, sample=0)
+    assert ("in the final sweep after step 20: memory at 0x200 is 0x5b "
+            "concrete vs 0x5a abstract") in str(info.value)
+
+
+def test_lockstep_mismatch_names_register():
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    concrete.regs[EDX] = 7
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 100)
+    assert "at step 1: %edx is 0x7 concrete vs 0x0 abstract" in str(info.value)
+
+
+def test_reload_after_lockstep_drops_code_written_during_it():
+    # The program patches nop;nop;nop;halt over the halt at `patch` and
+    # runs it, so both decode caches hold the patched bytes.
+    source = (
+        "main:\n"
+        "  irmovl $0x101010, %eax\n"
+        "  rmmovl %eax, patch(%ebx)\n"
+        "  jmp patch\n"
+        ".pos 0x40\n"
+        "patch:\n"
+        "  halt\n")
+    image, symbols = asm.assemble(asm.parse(source))
+    concrete, abstract = lockstep_pair(source)
+    report = run_in_lockstep(concrete, abstract, 100)
+    assert report.steps == 7 and abstract.eip == symbols["patch"] + 3
+    for m, mem in ((concrete, image.load(PagedMemory())),
+                   (abstract, SparseMemory(dict(image)))):
+        m.reload(mem, eip=symbols["patch"], keep_icache=True)
+        m.step()
+        assert m.status is Status.HLT and m.eip == symbols["patch"]
 
 
 # ---------------------------------------------------------------------------
