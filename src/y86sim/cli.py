@@ -24,7 +24,7 @@ from .errors import (
     PoisonedState,
     Y86Error,
 )
-from .isa import REGISTER_NAMES, Status
+from .isa import MASK32, REGISTER_NAMES, Status
 from .lockstep import (
     DemoCases,
     FailureRecord,
@@ -64,6 +64,14 @@ def bundled_program(name: str) -> str:
 
 def _default_seed() -> int:
     return int(os.environ.get("Y86_LOCKSTEP_SEED", "0"))
+
+
+def natural(text: str) -> int:
+    """argparse type for counts: a decimal integer that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a natural number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +128,11 @@ def cmd_run(image_path: str, config: RunConfig) -> int:
     except (OSError, Y86Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for name, value in (("entry", entry), ("esp", config.esp)):
+        if not 0 <= value <= MASK32:
+            print(f"error: {name} {value:#x} is not a 32-bit address",
+                  file=sys.stderr)
+            return 2
     trace = print if config.trace else None
     if config.backend == "lockstep":
         concrete = Machine(PagedMemory(), eip=entry, esp=config.esp, image=image)
@@ -322,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--backend", choices=("paged", "sparse", "lockstep"),
                    default="paged")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--steps", type=natural, default=DEFAULT_STEPS)
     p.add_argument("--entry", default=None,
                    help="entry label or numeric address (default: 'main' "
                         "or the lowest image address)")
@@ -332,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the obligation suites")
     p.add_argument("target", choices=("demo-st", "const-stobj", "y86"))
-    p.add_argument("--cases", type=int, default=10_000)
+    p.add_argument("--cases", type=natural, default=10_000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--report", default=None,
                    help="also write machine-readable records (JSON lines)")
@@ -340,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("popcount", help="verify the bundled popcount program")
     p.add_argument("--width", type=int, default=8)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=natural, default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())
 
     p = sub.add_parser("bench", help="compare the memory backends")

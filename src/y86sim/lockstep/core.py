@@ -417,6 +417,8 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
     with the reproducing case seed (and shrunk arguments when the source
     supports snapshots), never raised.
     """
+    if n_cases < 0:
+        raise ValueError("case count must be a natural number")
     outcomes: list[ObligationOutcome] = []
 
     creator_corr = ObligationOutcome("create{CORRESPONDENCE}", 1)

@@ -444,8 +444,10 @@ def y86_spec() -> LockstepSpec:
 
     The memory updater is protected because a write into an unallocated
     block performs several primitive updates (table entry, growth, cursor,
-    store); step and run mutate several machine fields per instruction and
-    are protected for the same reason.
+    store).  Step and run mutate several machine fields per instruction
+    and are protected for the same reason; being protected, they are never
+    held to an update count, so `Machine.update_count` tallies only the
+    single-field updaters and the memory, not the fields they change.
     """
     exports = (
         Export(

@@ -5,8 +5,10 @@ The memory backend is anything with `read(addr) -> byte` and
 itself, the sparse backend returns a new value.  A machine is
 single-writer; distinct machines may run on distinct threads.
 
-Decoded instructions are cached by address.  Every byte write is checked
-against the cached instruction spans so self-modifying code re-decodes.
+Decoded instructions are cached by address, together with the bytes
+they were decoded from.  A byte write into a cached span drops the cache,
+so self-modifying code re-decodes, and a reload that keeps the cache first
+checks those bytes against the new memory.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "state_mismatch",
 
 ESP = 4  # stack pointer register number
 
-# Cap on the write-tracking set used by reload(); past this the decode
-# cache is simply dropped on reload.
-_WRITE_TRACK_LIMIT = 1 << 20
-
 
 class Machine:
     """Registers, instruction pointer, flags, status, and a memory backend."""
@@ -46,7 +44,7 @@ class Machine:
     __slots__ = (
         "regs", "eip", "zf", "sf", "of", "status", "mem",
         "_updates", "_last_update", "icache_clears",
-        "_icache", "_icache_addrs", "_writes_since_reload", "_writes_overflow",
+        "_icache", "_icache_bytes", "_step_writes",
     )
 
     def __init__(self, mem, *, eip=0, esp=None, flags=None, status=None,
@@ -63,9 +61,8 @@ class Machine:
         self._last_update = None
         self.icache_clears = 0
         self._icache: dict[int, tuple[Instruction, int]] = {}
-        self._icache_addrs: set[int] = set()
-        self._writes_since_reload: set[int] = set()
-        self._writes_overflow = False
+        self._icache_bytes: dict[int, int] = {}
+        self._step_writes: set[int] | None = None
         for addr, byte in image:
             self.mem = self.mem.write(addr, byte)
         if not 0 <= eip <= MASK32:
@@ -87,7 +84,13 @@ class Machine:
 
     @property
     def update_count(self) -> int:
-        """Primitive updates so far: own fields plus the memory's."""
+        """Primitive updates so far: the counted single-field updaters
+        below plus the memory's own updates.
+
+        `step` and `run` do not count their field updates; both are
+        `protect`ed exports, so the atomicity protocol never reads a
+        delta across them.
+        """
         return self._updates + getattr(self.mem, "update_count", 0)
 
     @property
@@ -130,14 +133,12 @@ class Machine:
 
     def write_byte(self, addr: int, value: int) -> None:
         addr &= MASK32
-        if addr in self._icache_addrs:
+        if addr in self._icache_bytes:
             self._icache.clear()
-            self._icache_addrs.clear()
+            self._icache_bytes.clear()
             self.icache_clears += 1
-        if len(self._writes_since_reload) < _WRITE_TRACK_LIMIT:
-            self._writes_since_reload.add(addr)
-        else:
-            self._writes_overflow = True
+        if self._step_writes is not None:
+            self._step_writes.add(addr)
         self.mem = self.mem.write(addr, value)
         self._last_update = ("mem", addr, value)
 
@@ -176,13 +177,12 @@ class Machine:
             instr, length = decode(window, 0)
         except InvalidInstruction:
             self.status = Status.INS
-            self._updates += 1
             return None
         entry = (instr, length)
         self._icache[eip] = entry
-        addrs = self._icache_addrs
+        spans = self._icache_bytes
         for k in range(length):
-            addrs.add((eip + k) & MASK32)
+            spans[(eip + k) & MASK32] = window[k]
         return entry
 
     def _exec(self, instr: Instruction, length: int) -> None:
@@ -195,61 +195,48 @@ class Machine:
             self.sf = sf
             self.of = of
             self.eip = (self.eip + length) & MASK32
-            self._updates += 3
         elif kind is Kind.JMP:
             if cond_holds(instr.fn, self.zf, self.sf, self.of):
                 self.eip = instr.value
             else:
                 self.eip = (self.eip + length) & MASK32
-            self._updates += 1
         elif kind is Kind.RRMOVL:
             if cond_holds(instr.fn, self.zf, self.sf, self.of):
                 r[instr.rb] = r[instr.ra]
-                self._updates += 1
             self.eip = (self.eip + length) & MASK32
-            self._updates += 1
         elif kind is Kind.IRMOVL:
             r[instr.rb] = instr.value
             self.eip = (self.eip + length) & MASK32
-            self._updates += 2
         elif kind is Kind.MRMOVL:
             r[instr.ra] = self.read_word(r[instr.rb] + instr.value)
             self.eip = (self.eip + length) & MASK32
-            self._updates += 2
         elif kind is Kind.RMMOVL:
             self.write_word(r[instr.rb] + instr.value, r[instr.ra])
             self.eip = (self.eip + length) & MASK32
-            self._updates += 1
         elif kind is Kind.CALL:
             sp = (r[ESP] - 4) & MASK32
             r[ESP] = sp
             self.write_word(sp, (self.eip + length) & MASK32)
             self.eip = instr.value
-            self._updates += 2
         elif kind is Kind.RET:
             sp = r[ESP]
             self.eip = self.read_word(sp)
             r[ESP] = (sp + 4) & MASK32
-            self._updates += 2
         elif kind is Kind.PUSHL:
             sp = (r[ESP] - 4) & MASK32
             r[ESP] = sp
             self.write_word(sp, r[instr.ra])
             self.eip = (self.eip + length) & MASK32
-            self._updates += 2
         elif kind is Kind.POPL:
             sp = r[ESP]
             value = self.read_word(sp)
             r[ESP] = (sp + 4) & MASK32
             r[instr.ra] = value
             self.eip = (self.eip + length) & MASK32
-            self._updates += 3
         elif kind is Kind.NOP:
             self.eip = (self.eip + length) & MASK32
-            self._updates += 1
         else:  # HALT: eip stays at the halt instruction
             self.status = Status.HLT
-            self._updates += 1
 
     def run(self, n: int, trace=None) -> int:
         """Step until `n` steps are consumed or status leaves AOK.
@@ -296,32 +283,27 @@ class Machine:
         new._last_update = self._last_update
         new.icache_clears = self.icache_clears
         new._icache = dict(self._icache)
-        new._icache_addrs = set(self._icache_addrs)
-        new._writes_since_reload = set(self._writes_since_reload)
-        new._writes_overflow = self._writes_overflow
+        new._icache_bytes = dict(self._icache_bytes)
+        new._step_writes = None
         return new
 
     def reload(self, mem, *, eip=0, esp=None, flags=None, status=None,
                keep_icache=False) -> None:
         """Reset registers/flags/status and replace the memory.
 
-        With `keep_icache=True` the caller asserts that `mem` holds the
-        same bytes at all cached instruction addresses as the memory
-        supplied at the previous reload (e.g. the same immutable base
-        image); the cache is still dropped if any write since then touched
-        a cached address.
+        With `keep_icache=True` the decode cache survives when `mem` holds
+        the bytes every cached instruction was decoded from; it checks
+        them itself, one read per cached byte, and otherwise is dropped
+        and counted in `icache_clears`.
         """
-        if keep_icache:
-            if (self._writes_overflow
-                    or not self._writes_since_reload.isdisjoint(self._icache_addrs)):
-                self._icache.clear()
-                self._icache_addrs.clear()
-                self.icache_clears += 1
-        else:
+        spans = self._icache_bytes
+        if not keep_icache:
             self._icache.clear()
-            self._icache_addrs.clear()
-        self._writes_since_reload.clear()
-        self._writes_overflow = False
+            spans.clear()
+        elif list(map(mem.read, spans)) != list(spans.values()):
+            self._icache.clear()
+            spans.clear()
+            self.icache_clears += 1
         self.mem = mem
         for i in range(8):
             self.regs[i] = 0
@@ -407,6 +389,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     CorrespondenceFailure on the first divergence, naming the step, the
     differing field or address, both values and the last few eips.
     """
+    if n < 0:
+        raise ValueError("step budget must be a natural number")
     if not hasattr(abstract.mem, "touched"):
         raise TypeError("abstract machine must use a sparse memory backend")
     if not hasattr(concrete.mem, "table"):
@@ -416,12 +400,9 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     checked = steps = 0
     allocated = -1
     blocks: list[int] = []
-    # Each machine records its writes in a fresh per-step set; they are
-    # merged back so that a later reload(keep_icache=True) still sees them.
-    c_seen, a_seen = concrete._writes_since_reload, abstract._writes_since_reload
-    c_step, a_step = set(), set()
-    concrete._writes_since_reload = c_step
-    abstract._writes_since_reload = a_step
+    # Each machine records the addresses it writes in its own step set.
+    c_step = concrete._step_writes = set()
+    a_step = abstract._step_writes = set()
     try:
         while steps < n and abstract.status is Status.AOK:
             recent.append(abstract.eip)
@@ -434,8 +415,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             if c_step or a_step:
                 checked += _compare_memory(concrete, abstract, c_step | a_step,
                                            steps, recent)
-                _merge_writes(concrete, c_seen, c_step)
-                _merge_writes(abstract, a_seen, a_step)
+                c_step.clear()
+                a_step.clear()
             mem = concrete.mem
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
@@ -448,20 +429,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
                 checked += _compare_memory(concrete, abstract, probes, steps,
                                            recent)
     finally:
-        _merge_writes(concrete, c_seen, c_step)
-        _merge_writes(abstract, a_seen, a_step)
-        concrete._writes_since_reload = c_seen
-        abstract._writes_since_reload = a_seen
+        concrete._step_writes = abstract._step_writes = None
     checked += _compare_memory(concrete, abstract,
                                sorted(abstract.mem.touched()), steps, recent,
                                final=True)
     return LockstepReport(steps=steps, addresses_checked=checked)
-
-
-def _merge_writes(machine: Machine, seen: set[int], step: set[int]) -> None:
-    """Move one step's writes into the machine's since-reload set."""
-    if len(seen) < _WRITE_TRACK_LIMIT:
-        seen |= step
-    elif step:
-        machine._writes_overflow = True
-    step.clear()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from y86sim.cli import bundled_program, main, verify_popcount
+from y86sim.lockstep import DemoCases, check_obligations, demo_spec
 
 
 @pytest.fixture()
@@ -76,6 +77,33 @@ def test_run_numeric_entry(simple_yim, capsys):
 def test_run_unknown_entry(simple_yim, capsys):
     assert main(["run", str(simple_yim), "--entry", "nowhere"]) == 1
     assert "nowhere" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--entry", "0x100000000"],
+                                    ["--entry", "-1"],
+                                    ["--esp", "-4"]])
+def test_run_rejects_out_of_range_address(simple_yim, capsys, option):
+    assert main(["run", str(simple_yim), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["check", "demo-st", "--cases", "-5"],
+                                  ["popcount", "--samples", "-3"],
+                                  ["run", "unused.yim", "--steps", "-1"]])
+def test_negative_counts_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "not a natural number" in capsys.readouterr().err
+
+
+def test_check_obligations_rejects_negative_case_count():
+    spec = demo_spec()
+    with pytest.raises(ValueError, match="natural number"):
+        check_obligations(spec, DemoCases(spec), -1)
 
 
 def test_check_demo_st(capsys, tmp_path):

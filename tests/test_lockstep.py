@@ -260,6 +260,14 @@ def test_y86_guard_violations():
         dual.invoke("run", 65)
 
 
+def test_y86_multi_update_exports_are_protected():
+    # Machine.step and Machine.run tally no updates of their own; that is
+    # sound only while the protocol never reads an update delta across them.
+    exports = {e.name: e for e in y86_spec().exports}
+    for name in ("step", "run", "!memi"):
+        assert exports[name].protect, name
+
+
 def test_dual_invariant_over_random_sequences():
     # Arbitrary guard-satisfying call sequences keep the pair in
     # correspondence (every invoke checks it) and the recognizer audited.

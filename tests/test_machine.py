@@ -298,6 +298,32 @@ def test_reload_keeps_cache_only_when_safe(popcount_assembled):
     assert m.regs[EAX] == 3  # bits of 7
 
 
+def load_sparse(image):
+    return SparseMemory(dict(image))
+
+
+def load_paged(image):
+    return image.load(PagedMemory())
+
+
+@pytest.mark.parametrize("load", [load_sparse, load_paged])
+def test_reload_checks_cached_bytes_against_new_memory(load):
+    # B puts different code at A's addresses; a kept cache must not run A's.
+    image_a, _ = asm.assemble(asm.parse("irmovl $1, %eax\nhalt\n"))
+    image_b, _ = asm.assemble(asm.parse("irmovl $2, %eax\nhalt\n"))
+    m = Machine(load(image_a))
+    m.run(10)
+    assert m.regs[EAX] == 1 and len(m._icache) == 2
+    m.reload(load(image_a), keep_icache=True)  # same bytes: cache kept
+    assert len(m._icache) == 2 and m.icache_clears == 0
+    m.reload(load(image_b), keep_icache=True)
+    assert len(m._icache) == 0 and m.icache_clears == 1
+    m.run(10)
+    assert m.status is Status.HLT
+    assert m.regs[EAX] == 2
+
+
+
 # ---------------------------------------------------------------------------
 # backend equivalence (differential execution)
 
@@ -437,6 +463,21 @@ def test_lockstep_mismatch_names_register():
     with pytest.raises(CorrespondenceFailure) as info:
         run_in_lockstep(concrete, abstract, 100)
     assert "at step 1: %edx is 0x7 concrete vs 0x0 abstract" in str(info.value)
+
+
+def test_lockstep_clears_step_write_sets_when_it_fails():
+    concrete, abstract = lockstep_pair(STORE_LOOP, StrayWriter)
+    with pytest.raises(CorrespondenceFailure):
+        run_in_lockstep(concrete, abstract, 100)
+    assert concrete._step_writes is None and abstract._step_writes is None
+
+
+def test_lockstep_rejects_negative_budget():
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    with pytest.raises(ValueError, match="natural number"):
+        run_in_lockstep(concrete, abstract, -1)
+    with pytest.raises(ValueError, match="natural number"):
+        concrete.run(-1)
 
 
 def test_reload_after_lockstep_drops_code_written_during_it():
