@@ -1,9 +1,10 @@
-"""Command-line driver: assemble, run, obligation checks, popcount
-verification, and memory benchmarks.
+"""Command-line driver: assemble, run, obligation checks and popcount
+verification.
 
 Exit codes are a function of results only; with the same seed, reports
 are byte-identical across runs.  The seed falls back to the
-Y86_LOCKSTEP_SEED environment variable.
+Y86_LOCKSTEP_SEED environment variable; a value that is not an integer
+is a usage error (exit 2) for the commands that take `--seed`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import os
 import random
 import sys
-import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -60,10 +60,6 @@ class RunConfig:
 
 def bundled_program(name: str) -> str:
     return resources.files(__package__).joinpath("programs", name).read_text()
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("Y86_LOCKSTEP_SEED", "0"))
 
 
 def natural(text: str) -> int:
@@ -280,52 +276,17 @@ def cmd_popcount(width: int, samples: int, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# benchmark
-
-def _bench_backend(make_mem, blocks: int, ops: int):
-    addrs = []
-    rng = random.Random(0xBE7C)
-    for _ in range(ops):
-        block = rng.randrange(blocks)
-        addrs.append((block << 24) | rng.getrandbits(24))
-    mem = make_mem()
-    t0 = time.perf_counter()
-    for i, addr in enumerate(addrs):
-        mem = mem.write(addr, (i & 0x7F) + 1)
-    write_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    total = 0
-    for addr in addrs:
-        total += mem.read(addr)
-    read_time = time.perf_counter() - t0
-    if isinstance(mem, PagedMemory):
-        resident = (f"{len(mem.array)} bytes backing, "
-                    f"{mem.pages_allocated()} pages")
-    else:
-        resident = f"{len(mem)} entries"
-    rate = lambda dt: f"{ops / dt:,.0f}/s" if dt > 0 and ops else "-"
-    return rate(write_time), rate(read_time), resident
-
-
-def cmd_bench(blocks: int, ops: int) -> int:
-    print(f"{'backend':<8} {'ops':>9} {'writes':>12} {'reads':>12}  resident")
-    if blocks <= 0 or ops <= 0:
-        return 0
-    for name, make in (("paged", PagedMemory), ("sparse", SparseMemory)):
-        writes, reads, resident = _bench_backend(make, blocks, ops)
-        print(f"{name:<8} {ops:>9} {writes:>12} {reads:>12}  {resident}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="y86sim",
         description="Y86 simulator: assembler, dual-backend runner, "
-                    "lockstep verification harness, benchmarks")
+                    "lockstep verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default through `type`, so a bad value is a
+    # usage error, and only where --seed exists and is not given.
+    seed = os.environ.get("Y86_LOCKSTEP_SEED", "0")
 
     p = sub.add_parser("asm", help="assemble a .ys source into a .yim image")
     p.add_argument("source")
@@ -341,12 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "or the lowest image address)")
     p.add_argument("--esp", type=lambda s: int(s, 0), default=DEFAULT_ESP)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
 
     p = sub.add_parser("check", help="run the obligation suites")
     p.add_argument("target", choices=("demo-st", "const-stobj", "y86"))
     p.add_argument("--cases", type=natural, default=10_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--report", default=None,
                    help="also write machine-readable records (JSON lines)")
     p.add_argument("--protect-debug", action="store_true")
@@ -354,11 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("popcount", help="verify the bundled popcount program")
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--samples", type=natural, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-
-    p = sub.add_parser("bench", help="compare the memory backends")
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--ops", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=seed)
 
     return parser
 
@@ -375,9 +332,7 @@ def main(argv=None) -> int:
     if args.command == "check":
         return cmd_check(args.target, args.cases, args.seed,
                          report_path=args.report, debug=args.protect_debug)
-    if args.command == "popcount":
-        return cmd_popcount(args.width, args.samples, args.seed)
-    return cmd_bench(args.blocks, args.ops)
+    return cmd_popcount(args.width, args.samples, args.seed)
 
 
 if __name__ == "__main__":

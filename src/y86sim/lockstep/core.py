@@ -77,9 +77,6 @@ class LockstepSpec:
     creator_exec: Callable[[], Any]
     corr: Callable[[Any, Any], bool]
     exports: tuple[Export, ...]
-    # Managed states answer the recognizer in O(1); preservation checking
-    # is what justifies the trust.
-    recognizer_exec_trusted: bool = True
 
     def __post_init__(self):
         names = [e.name for e in self.exports]
@@ -151,12 +148,15 @@ class DualState:
         self._create()
 
     def recognizer(self, audit: bool = False) -> bool:
-        """O(1) answer on managed states; `audit` recomputes the logic side."""
+        """Not poisoned, and, with `audit`, the logic recognizer accepts
+        the abstract value.
+
+        Without `audit` the answer is O(1) and trusts the state: in check
+        mode every abstract value it has held already passed the recognizer.
+        """
         if self.poisoned:
             return False
-        if audit or not self.spec.recognizer_exec_trusted:
-            return bool(self.spec.recognizer_logic(self.abstract))
-        return True
+        return not audit or bool(self.spec.recognizer_logic(self.abstract))
 
     def invoke(self, name: str, *args):
         """Run one export under guard checks and the atomicity protocol.

@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from ..errors import InjectedFault
 from ..isa import MASK32, AluFn, Cond, Flags, Instruction, Kind, Status, encode
-from ..machine import Machine, state_mismatch
+from ..machine import Machine, memory_mismatch, state_mismatch
 from ..mem_paged import MEM_SIZE, PagedMemory
 from ..mem_sparse import SparseMemory
 from .core import CaseSource, DualState, Export, LockstepSpec
@@ -405,27 +405,22 @@ def _y86_recognizer(a) -> bool:
     )
 
 
-def _y86_corr(concrete, abstract, cap: int = 256) -> bool:
-    if not (isinstance(concrete, Machine)
+def _y86_corr(concrete, abstract) -> bool:
+    """Paged and sparse machines agree on every field, on every address
+    the sparse memory holds and on `_FIXED_PROBES`.
+
+    The abstract recognizer is not re-run here: every caller checks it
+    right after `corr`, as the separate PRESERVED obligation.
+    """
+    return (isinstance(concrete, Machine)
             and isinstance(concrete.mem, PagedMemory)
             and concrete.mem.wellformed()
-            and _y86_recognizer(abstract)):
-        return False
-    if state_mismatch(concrete, abstract) is not None:
-        return False
-    touched = abstract.mem.touched()
-    if len(touched) > cap:
-        ordered = sorted(touched)
-        probes = ordered[::len(ordered) // cap]
-    else:
-        probes = touched
-    for addr in probes:
-        if concrete.read_byte(addr) != abstract.read_byte(addr):
-            return False
-    for addr in _FIXED_PROBES:
-        if concrete.read_byte(addr) != abstract.read_byte(addr):
-            return False
-    return True
+            and isinstance(abstract, Machine)
+            and isinstance(abstract.mem, SparseMemory)
+            and state_mismatch(concrete, abstract) is None
+            and memory_mismatch(concrete, abstract,
+                                abstract.mem.touched()) is None
+            and memory_mismatch(concrete, abstract, _FIXED_PROBES) is None)
 
 
 def _logic(mutate: Callable) -> Callable:

@@ -33,7 +33,7 @@ from .isa import (
 from .mem_paged import SENTINEL
 
 __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "state_mismatch",
-           "ESP"]
+           "memory_mismatch", "ESP"]
 
 ESP = 4  # stack pointer register number
 
@@ -55,8 +55,6 @@ class Machine:
         given, initializes the stack pointer register.
         """
         self.regs = [0] * 8
-        self.zf = self.sf = self.of = 0
-        self.mem = mem
         self._updates = 0
         self._last_update = None
         self.icache_clears = 0
@@ -64,17 +62,8 @@ class Machine:
         self._icache_bytes: dict[int, int] = {}
         self._step_writes: set[int] | None = None
         for addr, byte in image:
-            self.mem = self.mem.write(addr, byte)
-        if not 0 <= eip <= MASK32:
-            raise ValueError("eip must be a 32-bit value")
-        self.eip = eip
-        if esp is not None:
-            if not 0 <= esp <= MASK32:
-                raise ValueError("esp must be a 32-bit value")
-            self.regs[ESP] = esp
-        if flags is not None:
-            self.zf, self.sf, self.of = flags.zf, flags.sf, flags.of
-        self.status = Status.AOK if status is None else status
+            mem = mem.write(addr, byte)
+        self.reload(mem, eip=eip, esp=esp, flags=flags, status=status)
 
     # -- observers ---------------------------------------------------------
 
@@ -291,11 +280,16 @@ class Machine:
                keep_icache=False) -> None:
         """Reset registers/flags/status and replace the memory.
 
-        With `keep_icache=True` the decode cache survives when `mem` holds
-        the bytes every cached instruction was decoded from; it checks
-        them itself, one read per cached byte, and otherwise is dropped
-        and counted in `icache_clears`.
+        Raises ValueError, changing nothing, when `eip` or `esp` is not a
+        32-bit value.  With `keep_icache=True` the decode cache survives
+        when `mem` holds the bytes every cached instruction was decoded
+        from; it checks them itself, one read per cached byte, and
+        otherwise is dropped and counted in `icache_clears`.
         """
+        if not 0 <= eip <= MASK32:
+            raise ValueError("eip must be a 32-bit value")
+        if esp is not None and not 0 <= esp <= MASK32:
+            raise ValueError("esp must be a 32-bit value")
         spans = self._icache_bytes
         if not keep_icache:
             self._icache.clear()
@@ -305,8 +299,7 @@ class Machine:
             spans.clear()
             self.icache_clears += 1
         self.mem = mem
-        for i in range(8):
-            self.regs[i] = 0
+        self.regs[:] = [0] * 8
         if esp is not None:
             self.regs[ESP] = esp
         self.eip = eip
@@ -355,25 +348,26 @@ def state_mismatch(concrete: Machine, abstract: Machine):
     return "status", c.status.value, a.status.value
 
 
+def memory_mismatch(concrete: Machine, abstract: Machine, addrs):
+    """The first address in `addrs` at which two machines' memories differ.
+
+    Returns ("memory at ADDR", concrete byte, abstract byte) as strings,
+    in the shape of `state_mismatch`, or None when the memories agree at
+    every address.
+    """
+    cread, aread = concrete.mem.read, abstract.mem.read
+    for addr in addrs:
+        if cread(addr) != aread(addr):
+            return (f"memory at {addr:#x}", f"{cread(addr):#04x}",
+                    f"{aread(addr):#04x}")
+    return None
+
+
 def _divergence(when: str, field: str, got, want, recent) -> CorrespondenceFailure:
     trail = " ".join(f"{eip:#x}" for eip in recent) or "none"
     return CorrespondenceFailure(
         f"lockstep diverged {when}: {field} is {got} concrete vs {want} "
         f"abstract; eips of the last {len(recent)} steps: {trail}")
-
-
-def _compare_memory(concrete, abstract, addrs, steps, recent,
-                    final=False) -> int:
-    """Compare both memories at `addrs`; returns how many were compared."""
-    cread, aread = concrete.mem.read, abstract.mem.read
-    for addr in addrs:
-        if cread(addr) != aread(addr):
-            when = (f"in the final sweep after step {steps}" if final
-                    else f"at step {steps}")
-            raise _divergence(when, f"memory at {addr:#x}",
-                              f"{cread(addr):#04x}", f"{aread(addr):#04x}",
-                              recent)
-    return len(addrs)
 
 
 def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
@@ -409,28 +403,30 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             concrete.step()
             abstract.step()
             steps += 1
-            mismatch = state_mismatch(concrete, abstract)
-            if mismatch is not None:
-                raise _divergence(f"at step {steps}", *mismatch, recent)
-            if c_step or a_step:
-                checked += _compare_memory(concrete, abstract, c_step | a_step,
-                                           steps, recent)
-                c_step.clear()
-                a_step.clear()
             mem = concrete.mem
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
                 blocks = [top << 24 for top, base in enumerate(mem.table)
                           if base != SENTINEL]
-            if blocks:
-                # The top byte of each draw picks a block, the rest an offset.
-                probes = [blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
-                          for x in map(getrandbits, [32] * sample)]
-                checked += _compare_memory(concrete, abstract, probes, steps,
-                                           recent)
+            # The top byte of each draw picks a block, the rest an offset.
+            probes = ([blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
+                       for x in map(getrandbits, [32] * sample)]
+                      if blocks else ())
+            written = c_step | a_step
+            mismatch = (state_mismatch(concrete, abstract)
+                        or memory_mismatch(concrete, abstract, written)
+                        or memory_mismatch(concrete, abstract, probes))
+            if mismatch is not None:
+                raise _divergence(f"at step {steps}", *mismatch, recent)
+            checked += len(written) + len(probes)
+            c_step.clear()
+            a_step.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    checked += _compare_memory(concrete, abstract,
-                               sorted(abstract.mem.touched()), steps, recent,
-                               final=True)
+    swept = sorted(abstract.mem.touched())
+    mismatch = memory_mismatch(concrete, abstract, swept)
+    if mismatch is not None:
+        raise _divergence(f"in the final sweep after step {steps}", *mismatch,
+                          recent)
+    checked += len(swept)
     return LockstepReport(steps=steps, addresses_checked=checked)

@@ -87,12 +87,10 @@ class PagedMemory:
         self.update_count += 1
         need = base + PAGE_SIZE
         if need > len(self.array):
-            grow = need - len(self.array)
+            # Bases and the array length are multiples of PAGE_SIZE, and
+            # base <= len(array): growth is exactly one page.
             try:
-                if grow == PAGE_SIZE:
-                    self.array += _ZERO_PAGE
-                else:
-                    self.array += _ZERO_PAGE[:grow]
+                self.array += _ZERO_PAGE
             except MemoryError as exc:
                 self.table[top] = SENTINEL
                 self.update_count += 1

@@ -1,5 +1,6 @@
 """Dual-state container, obligation suites, and the protection protocol."""
 
+import dataclasses
 import random
 
 import pytest
@@ -266,6 +267,41 @@ def test_y86_multi_update_exports_are_protected():
     exports = {e.name: e for e in y86_spec().exports}
     for name in ("step", "run", "!memi"):
         assert exports[name].protect, name
+
+
+def test_y86_corr_compares_every_byte_the_sparse_memory_holds():
+    spec = y86_spec()
+    concrete, abstract = spec.creator_exec(), spec.creator_logic()
+    for addr in range(0x100, 0x100 + 600):
+        concrete.write_byte(addr, addr & 0x7F | 1)
+        abstract.write_byte(addr, addr & 0x7F | 1)
+    assert spec.corr(concrete, abstract)
+    # Past 512 held bytes a stride sample would skip every other address.
+    concrete.write_byte(0x101, concrete.read_byte(0x101) ^ 0x40)
+    assert not spec.corr(concrete, abstract)
+
+
+def test_y86_malformed_memory_is_caught_by_preservation_alone():
+    # This !memi keeps a zero-valued entry, which a canonical sparse memory
+    # never holds.  Both sides read 0 there, so the pair corresponds; the
+    # recognizer, checked as the PRESERVED obligation, rejects the map.
+    spec = y86_spec()
+
+    def keep_zero_entry(a, i, v):
+        m = a.copy()
+        m.mem = SparseMemory._from_raw({**dict(m.mem.items()), i: 0})
+        return m
+
+    exports = tuple(
+        dataclasses.replace(e, logic_fn=keep_zero_entry,
+                            exec_fn=lambda c, i, v: c.write_byte(i, 0))
+        if e.name == "!memi" else e
+        for e in spec.exports)
+    variant = dataclasses.replace(spec, name="y86[zero-entry]",
+                                  exports=exports)
+    report = check_obligations(variant, Y86Cases(), n_cases=40, seed=5)
+    assert report.outcome("!memi{PRESERVED}").failures
+    assert not report.outcome("!memi{CORRESPONDENCE}").failures
 
 
 def test_dual_invariant_over_random_sequences():

@@ -323,6 +323,21 @@ def test_reload_checks_cached_bytes_against_new_memory(load):
     assert m.regs[EAX] == 2
 
 
+@pytest.mark.parametrize("where", [{"eip": 1 << 33}, {"eip": -1},
+                                   {"esp": -5}, {"esp": 1 << 32}],
+                         ids=["eip-high", "eip-negative", "esp-negative",
+                              "esp-high"])
+def test_reload_rejects_out_of_range_registers_like_init(where):
+    with pytest.raises(ValueError, match="32-bit"):
+        Machine(SparseMemory(), **where)
+    mem = SparseMemory({0x10: 0x30})
+    m = Machine(mem, eip=0x10, esp=8192)
+    with pytest.raises(ValueError, match="32-bit"):
+        m.reload(SparseMemory(), **where)
+    # A rejected reload changes nothing.
+    assert m.mem is mem and m.eip == 0x10 and m.regs[ESP] == 8192
+
+
 
 # ---------------------------------------------------------------------------
 # backend equivalence (differential execution)
