@@ -414,11 +414,16 @@ class Image:
 
 
 def save_image(path, image: Image, symbols: dict[str, int] | None = None) -> None:
-    Path(path).write_text(image.to_text(symbols))
+    Path(path).write_text(image.to_text(symbols), encoding="utf-8")
 
 
 def load_image(path) -> tuple[Image, dict[str, int]]:
-    return Image.from_text(Path(path).read_text())
+    """Read a `.yim` file.  A file that is not UTF-8, or whose pairs do not
+    form an `Image`, raises ParseError; OSError passes through."""
+    try:
+        return Image.from_text(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def natural(text: str) -> int:
 def cmd_asm(source_path: str, out_path: str | None = None) -> int:
     try:
         text = Path(source_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -87,7 +87,11 @@ def cmd_asm(source_path: str, out_path: str | None = None) -> int:
     if out_path is None:
         root = source_path[:-3] if source_path.endswith(".ys") else source_path
         out_path = root + ".yim"
-    asm.save_image(out_path, image, symbols)
+    try:
+        asm.save_image(out_path, image, symbols)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{out_path}: {len(image)} bytes, {len(symbols)} symbols")
     return 0
 
@@ -223,22 +227,25 @@ def cmd_check(target: str, n_cases: int, seed: int,
         return 2
     sys.stdout.write(report.to_text())
     if report_path:
-        report.write_records(report_path)
+        try:
+            report.write_records(report_path)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
 # popcount verification
 
-def verify_popcount(width: int, samples: int, seed: int,
-                    steps: int = DEFAULT_STEPS) -> tuple[int, int]:
+def verify_popcount(width: int, samples: int, seed: int) -> tuple[int, int]:
     """Run the bundled popcount program exhaustively for n < 2^width plus
     `samples` random 32-bit inputs; returns (cases, mismatches) against
     the host bit-count oracle."""
     if not 0 <= width <= 32:
         raise ValueError("width must be in 0..32")
     image, symbols = asm.assemble(asm.parse(bundled_program("popcount.ys")))
-    base = SparseMemory(dict(image))
+    base = image.load(SparseMemory())
     entry = symbols["call-popcount"]
     halt_addr = symbols["halt-of-main"]
     rng = random.Random(seed)
@@ -250,7 +257,7 @@ def verify_popcount(width: int, samples: int, seed: int,
         nonlocal cases, mismatches
         machine.reload(base, eip=entry, esp=DEFAULT_ESP, keep_icache=True)
         machine.regs[EDX] = n
-        machine.run(steps)
+        machine.run(DEFAULT_STEPS)
         cases += 1
         if not (machine.status is Status.HLT
                 and machine.eip == halt_addr

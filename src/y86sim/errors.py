@@ -6,7 +6,6 @@ __all__ = [
     "AddressOutOfRange",
     "ValueOutOfRange",
     "AllocationFailure",
-    "PageTableFull",
     "ParseError",
     "UnresolvedLabel",
     "BackwardPos",
@@ -39,10 +38,6 @@ class ValueOutOfRange(Y86Error):
 
 class AllocationFailure(Y86Error):
     """The host could not provide backing storage."""
-
-
-class PageTableFull(Y86Error):
-    """No free block slot left in the page table."""
 
 
 class ParseError(Y86Error):

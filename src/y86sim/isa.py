@@ -16,7 +16,7 @@ from .errors import InvalidInstruction
 __all__ = [
     "MASK32", "Register", "Flags", "Status", "Kind", "Cond", "AluFn",
     "Instruction", "encoded_length", "decode", "encode",
-    "eval_cond", "cond_holds", "alu", "alu_bits", "format_instruction",
+    "cond_holds", "alu_bits", "format_instruction",
     "REGISTER_NAMES",
 ]
 
@@ -164,10 +164,6 @@ class Instruction:
         elif self.value != 0:
             raise ValueError(f"{k.name} takes no constant")
 
-    @property
-    def length(self) -> int:
-        return _LENGTHS[self.kind]
-
 
 def decode(image, offset: int = 0) -> tuple[Instruction, int]:
     """Decode the instruction starting at `offset` in a byte sequence.
@@ -254,10 +250,6 @@ def cond_holds(cond: int, zf: int, sf: int, of: int) -> bool:
     raise ValueError(f"undefined condition {cond!r}")
 
 
-def eval_cond(cond: int, flags: Flags) -> bool:
-    return cond_holds(cond, flags.zf, flags.sf, flags.of)
-
-
 def alu_bits(fn: int, a: int, b: int) -> tuple[int, int, int, int]:
     """ALU on raw values: returns (result, zf, sf, of).
 
@@ -282,12 +274,6 @@ def alu_bits(fn: int, a: int, b: int) -> tuple[int, int, int, int]:
     else:
         raise ValueError(f"undefined ALU function {fn!r}")
     return r, 1 if r == 0 else 0, r >> 31, of
-
-
-def alu(fn: int, a: int, b: int) -> tuple[int, Flags]:
-    """ALU computing `b fn a` modulo 2^32, with the resulting flags."""
-    r, zf, sf, of = alu_bits(fn, a, b)
-    return r, Flags(zf, sf, of)
 
 
 _RR_NAMES = ("rrmovl", "cmovle", "cmovl", "cmove", "cmovne", "cmovge", "cmovg")

@@ -13,7 +13,6 @@ from .core import (
     create_dual,
 )
 from .fixtures import (
-    ConstCases,
     DemoCases,
     EvenMap,
     OneField,
@@ -30,7 +29,7 @@ __all__ = [
     "CaseSource", "DualState", "Export", "FailureRecord", "LockstepSpec",
     "ObligationOutcome", "ObligationReport", "check_obligations",
     "create_dual",
-    "ConstCases", "DemoCases", "EvenMap", "OneField", "SlotStore",
+    "DemoCases", "EvenMap", "OneField", "SlotStore",
     "Y86Cases", "const_spec", "demo_spec", "raise_injected_fault",
     "unsound_const_demo", "y86_spec",
 ]

@@ -362,7 +362,11 @@ def _evaluate_case(spec, export, concrete, abstract, args):
     return new_abstract, failures
 
 
-def _shrink_args(spec, export, source, pristine, args, max_attempts=60):
+# Candidate argument tuples one shrink may try.
+_SHRINK_ATTEMPTS = 60
+
+
+def _shrink_args(spec, export, source, pristine, args):
     """Greedily shrink integer arguments toward 0 while the case still
     fails; returns the smaller tuple or None."""
     if pristine is None:
@@ -381,7 +385,7 @@ def _shrink_args(spec, export, source, pristine, args, max_attempts=60):
     best = tuple(args)
     attempts = 0
     improved = True
-    while improved and attempts < max_attempts:
+    while improved and attempts < _SHRINK_ATTEMPTS:
         improved = False
         for idx, val in enumerate(best):
             if not isinstance(val, int) or isinstance(val, bool) or val == 0:
@@ -395,9 +399,9 @@ def _shrink_args(spec, export, source, pristine, args, max_attempts=60):
                     best = candidate
                     improved = True
                     break
-                if attempts >= max_attempts:
+                if attempts >= _SHRINK_ATTEMPTS:
                     break
-            if attempts >= max_attempts:
+            if attempts >= _SHRINK_ATTEMPTS:
                 break
     return best if best != tuple(args) else None
 

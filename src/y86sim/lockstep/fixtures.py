@@ -33,7 +33,7 @@ from .core import CaseSource, DualState, Export, LockstepSpec
 
 __all__ = [
     "SLOT_COUNT", "SlotStore", "EvenMap", "demo_spec", "DemoCases",
-    "OneField", "const_spec", "ConstCases", "raise_injected_fault",
+    "OneField", "const_spec", "raise_injected_fault",
     "unsound_const_demo",
     "y86_spec", "Y86Cases",
 ]
@@ -219,17 +219,17 @@ class DemoCases(CaseSource):
     """
 
     _MISC_VALUES = (None, 0, 1, "tag", (1, 2))
+    RESET_EVERY = 200
 
-    def __init__(self, spec: LockstepSpec, reset_every: int = 200):
+    def __init__(self, spec: LockstepSpec):
         self.spec = spec
-        self.reset_every = reset_every
         self._by_name = {e.name: e for e in spec.exports}
         self._pair: list | None = None
         self._drawn = 0
         self._dirty = True
 
     def draw(self, export_name, rng):
-        if self._dirty or self._pair is None or self._drawn % self.reset_every == 0:
+        if self._dirty or self._pair is None or self._drawn % self.RESET_EVERY == 0:
             self._pair = [self.spec.creator_exec(), self.spec.creator_logic()]
             self._dirty = False
         self._drawn += 1
@@ -354,17 +354,6 @@ def const_spec(protect: bool = True,
         corr=lambda c, a: isinstance(c, OneField) and c.fld == 0 and a == 0,
         exports=exports,
     )
-
-
-class ConstCases(CaseSource):
-    def __init__(self, spec: LockstepSpec):
-        self.spec = spec
-
-    def draw(self, export_name, rng):
-        return self.spec.creator_exec(), self.spec.creator_logic(), ()
-
-    def snapshot(self, concrete, abstract):
-        return concrete.copy(), abstract
 
 
 def unsound_const_demo() -> DualState:
@@ -558,16 +547,15 @@ class Y86Cases(CaseSource):
 
     BLOCKS = (0, 1)
     PAGE_VALVE = 6
+    RESET_EVERY = 250
 
-    def __init__(self, reset_every: int = 250, blocks=BLOCKS):
-        self.reset_every = reset_every
-        self.blocks = blocks
+    def __init__(self):
         self._pair: list[Machine] | None = None
         self._drawn = 0
         self._dirty = True
 
     def _addr(self, rng) -> int:
-        return (rng.choice(self.blocks) << 24) | rng.getrandbits(24)
+        return (rng.choice(self.BLOCKS) << 24) | rng.getrandbits(24)
 
     def _value(self, rng) -> int:
         # Register contents double as address bases during execution.
@@ -575,7 +563,7 @@ class Y86Cases(CaseSource):
 
     def draw(self, export_name, rng):
         if (self._dirty or self._pair is None
-                or self._drawn % self.reset_every == 0
+                or self._drawn % self.RESET_EVERY == 0
                 or self._pair[0].mem.pages_allocated() > self.PAGE_VALVE):
             self._pair = [Machine(PagedMemory()), Machine(SparseMemory())]
             self._dirty = False

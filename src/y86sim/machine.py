@@ -47,11 +47,11 @@ class Machine:
         "_icache", "_icache_bytes", "_step_writes",
     )
 
-    def __init__(self, mem, *, eip=0, esp=None, flags=None, status=None,
-                 image=()):
-        """Create a machine, loading every (address, byte) pair of `image`.
+    def __init__(self, mem, *, eip=0, esp=None, image=None):
+        """Create a machine over `mem` with `image`, an `asm.Image`, loaded
+        into it through `Image.load`.
 
-        `status=None` means AOK; `flags=None` means all zero; `esp`, when
+        Registers and flags start at zero and status at AOK; `esp`, when
         given, initializes the stack pointer register.
         """
         self.regs = [0] * 8
@@ -61,9 +61,9 @@ class Machine:
         self._icache: dict[int, tuple[Instruction, int]] = {}
         self._icache_bytes: dict[int, int] = {}
         self._step_writes: set[int] | None = None
-        for addr, byte in image:
-            mem = mem.write(addr, byte)
-        self.reload(mem, eip=eip, esp=esp, flags=flags, status=status)
+        if image is not None:
+            mem = image.load(mem)
+        self.reload(mem, eip=eip, esp=esp)
 
     # -- observers ---------------------------------------------------------
 
@@ -244,15 +244,17 @@ class Machine:
         else:
             while consumed < n and self.status is Status.AOK:
                 eip0 = self.eip
+                # Decode before the step: a store into cached code clears
+                # the cache during it.
+                entry = self._icache.get(eip0) or self._fetch_decode(eip0)
                 self.step()
                 consumed += 1
-                trace(self.trace_line(consumed, eip0))
+                trace(self.trace_line(consumed, eip0, entry))
         return consumed
 
-    def trace_line(self, k: int, eip0: int | None = None) -> str:
-        if eip0 is None:
-            eip0 = self.eip
-        entry = self._icache.get(eip0)
+    def trace_line(self, k: int, eip0: int, entry) -> str:
+        """One trace line for step `k`, which ran the decode-cache `entry`
+        (None for an invalid instruction) found at `eip0`."""
         text = format_instruction(entry[0]) if entry else "(invalid)"
         regs = " ".join(f"{v:08x}" for v in self.regs)
         return (f"step={k} eip={eip0:#010x} instr={text} regs={regs} "
@@ -276,9 +278,8 @@ class Machine:
         new._step_writes = None
         return new
 
-    def reload(self, mem, *, eip=0, esp=None, flags=None, status=None,
-               keep_icache=False) -> None:
-        """Reset registers/flags/status and replace the memory.
+    def reload(self, mem, *, eip=0, esp=None, keep_icache=False) -> None:
+        """Replace the memory, zero the registers and flags, set status AOK.
 
         Raises ValueError, changing nothing, when `eip` or `esp` is not a
         32-bit value.  With `keep_icache=True` the decode cache survives
@@ -303,11 +304,8 @@ class Machine:
         if esp is not None:
             self.regs[ESP] = esp
         self.eip = eip
-        if flags is None:
-            self.zf = self.sf = self.of = 0
-        else:
-            self.zf, self.sf, self.of = flags.zf, flags.sf, flags.of
-        self.status = Status.AOK if status is None else status
+        self.zf = self.sf = self.of = 0
+        self.status = Status.AOK
 
     def __repr__(self) -> str:
         return (f"Machine(eip={self.eip:#x}, status={self.status.value}, "
@@ -319,6 +317,8 @@ class Machine:
 
 # Eips of the most recent steps quoted in a divergence report.
 _RECENT_STEPS = 8
+# Random addresses probed after each lockstep step.
+_PROBES_PER_STEP = 32
 
 
 @dataclass(frozen=True)
@@ -371,15 +371,15 @@ def _divergence(when: str, field: str, got, want, recent) -> CorrespondenceFailu
 
 
 def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
-                    seed: int = 0, sample: int = 32) -> LockstepReport:
+                    seed: int = 0) -> LockstepReport:
     """Step two machines together, checking agreement after every step.
 
     `concrete` must use a paged backend and `abstract` a sparse one.
     After every step the machines must agree on regs, eip, flags and
     status, and on each address that either of them wrote during that
-    step; `sample` more addresses, drawn at random inside the blocks the
-    paged memory has allocated, are probed as well.  A final sweep
-    compares every address the sparse memory holds.  Raises
+    step; `_PROBES_PER_STEP` (32) more addresses, drawn from `seed` inside
+    the blocks the paged memory has allocated, are probed as well.  A
+    final sweep compares every address the sparse memory holds.  Raises
     CorrespondenceFailure on the first divergence, naming the step, the
     differing field or address, both values and the last few eips.
     """
@@ -410,7 +410,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
                           if base != SENTINEL]
             # The top byte of each draw picks a block, the rest an offset.
             probes = ([blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
-                       for x in map(getrandbits, [32] * sample)]
+                       for x in map(getrandbits, [32] * _PROBES_PER_STEP)]
                       if blocks else ())
             written = c_step | a_step
             mismatch = (state_mismatch(concrete, abstract)

@@ -1,7 +1,7 @@
 """Demand-paged concrete memory: a 256-entry block table over a flat array.
 
 The 2^32 byte space is split into 256 blocks of 16MB.  A block's backing
-storage is allocated in the flat array the first time the block is
+storage is appended to the flat array the first time the block is
 written; the table maps block number to the block's base offset in the
 array, with a sentinel for not-yet-allocated blocks.  Reads of absent
 blocks return 0 and never allocate.
@@ -9,12 +9,7 @@ blocks return 0 and never allocate.
 
 from __future__ import annotations
 
-from .errors import (
-    AddressOutOfRange,
-    AllocationFailure,
-    PageTableFull,
-    ValueOutOfRange,
-)
+from .errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
 
 __all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "PagedMemory"]
 
@@ -38,14 +33,8 @@ class PagedMemory:
 
     __slots__ = ("table", "array", "next_addr", "update_count", "last_update")
 
-    def __init__(self, initial_pages: int = 0):
-        if not 0 <= initial_pages <= TABLE_SIZE:
-            raise ValueError(f"initial_pages must be in 0..{TABLE_SIZE}")
-        try:
-            self.array = bytearray(initial_pages * PAGE_SIZE)
-        except MemoryError as exc:
-            raise AllocationFailure(
-                f"cannot allocate {initial_pages} pages") from exc
+    def __init__(self):
+        self.array = bytearray()
         self.table = [SENTINEL] * TABLE_SIZE
         self.next_addr = 0
         self.update_count = 0
@@ -73,44 +62,36 @@ class PagedMemory:
         return self
 
     def add_page(self, top: int) -> "PagedMemory":
-        """Allocate backing storage for block `top` at the growth cursor."""
+        """Allocate block `top` as one zero page appended at the cursor,
+        which is always the end of the array."""
         if not 0 <= top < TABLE_SIZE:
             raise AddressOutOfRange(f"block number {top} not in 0..255")
         if self.table[top] != SENTINEL:
             raise ValueError(f"block {top} already allocated")
         base = self.next_addr
-        if base >= MEM_SIZE:
-            # Unreachable: 256 blocks of 16MB cover the space exactly and
-            # the sentinel test blocks a 257th allocation.
-            raise PageTableFull("all 256 blocks allocated")
+        try:
+            self.array += _ZERO_PAGE
+        except MemoryError as exc:
+            raise AllocationFailure(
+                f"cannot grow array to {base + PAGE_SIZE} bytes") from exc
+        self.update_count += 1
         self.table[top] = base
         self.update_count += 1
-        need = base + PAGE_SIZE
-        if need > len(self.array):
-            # Bases and the array length are multiples of PAGE_SIZE, and
-            # base <= len(array): growth is exactly one page.
-            try:
-                self.array += _ZERO_PAGE
-            except MemoryError as exc:
-                self.table[top] = SENTINEL
-                self.update_count += 1
-                raise AllocationFailure(
-                    f"cannot grow array to {need} bytes") from exc
-            self.update_count += 1
-        self.next_addr = need
+        self.next_addr = base + PAGE_SIZE
         self.update_count += 1
         self.last_update = ("page", top, base)
         return self
 
     def wellformed(self) -> bool:
-        """The memory invariant: table, array and cursor are consistent."""
+        """The memory invariant: table, array and cursor are consistent,
+        and the array ends at the cursor."""
         bases = [e for e in self.table if e != SENTINEL]
         return (
             all(e & _OFFSET_MASK == 0 for e in bases)
             and all(e < self.next_addr for e in bases)
             and len(set(bases)) == len(bases)
             and self.next_addr % PAGE_SIZE == 0
-            and self.next_addr <= len(self.array)
+            and self.next_addr == len(self.array)
             and self.next_addr // PAGE_SIZE == len(bases)
         )
 

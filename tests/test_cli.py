@@ -90,6 +90,45 @@ def test_run_rejects_out_of_range_address(simple_yim, capsys, option):
     assert captured.err.count("\n") == 1
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("content", [b"0x100000000: 00\n",
+                                     b"0x00000010: 10\n0x00000010: 00\n",
+                                     b"\xff\xfe0x0: 00\n"],
+                         ids=["address-past-32-bits", "duplicate-address",
+                              "not-utf8"])
+def test_run_bad_image_file_is_one_error_line(tmp_path, capsys, content):
+    image = tmp_path / "bad.yim"
+    image.write_bytes(content)
+    assert main(["run", str(image)]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_asm_non_utf8_source_is_one_error_line(tmp_path, capsys):
+    source = tmp_path / "bad.ys"
+    source.write_bytes(b"main:\n  halt # \xff\n")
+    assert main(["asm", str(source)]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_asm_unwritable_output_is_one_error_line(tmp_path, capsys):
+    source = tmp_path / "simple.ys"
+    source.write_text(bundled_program("simple.ys"))
+    out = tmp_path / "missing" / "simple.yim"
+    assert main(["asm", str(source), "-o", str(out)]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_check_unwritable_report_is_one_error_line(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.jsonl"
+    assert main(["check", "demo-st", "--cases", "10",
+                 "--report", str(report)]) == 1
+    assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("argv", [["check", "demo-st", "--cases", "-5"],
                                   ["popcount", "--samples", "-3"],
                                   ["run", "unused.yim", "--steps", "-1"]])

@@ -336,7 +336,7 @@ def test_demo_obligations_pass():
 
 def test_y86_obligations_pass_quick():
     spec = y86_spec()
-    report = check_obligations(spec, Y86Cases(reset_every=100), n_cases=150,
+    report = check_obligations(spec, Y86Cases(), n_cases=150,
                                seed=7)
     assert report.ok, report.to_text()
 

@@ -63,7 +63,7 @@ def test_step_irmovl_at_80(simple_assembled):
 
 
 def test_step_halt_keeps_eip():
-    m = Machine(SparseMemory(), image=[(0, 0x00)])
+    m = Machine(SparseMemory(), image=asm.Image([(0, 0x00)]))
     m.step()
     assert m.status is Status.HLT
     assert m.eip == 0
@@ -74,7 +74,7 @@ def test_step_halt_keeps_eip():
 
 
 def test_step_invalid_instruction_sets_ins():
-    m = Machine(SparseMemory(), image=[(0, 0xC0)])
+    m = Machine(SparseMemory(), image=asm.Image([(0, 0xC0)]))
     m.step()
     assert m.status is Status.INS
     assert m.eip == 0
@@ -249,6 +249,19 @@ def test_trace_format(simple_assembled):
     assert len(regs_field.split()) == 8
 
 
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+def test_trace_names_instruction_that_stores_into_its_own_code(backend):
+    # The rmmovl overwrites the decoded irmovl at 0, clearing the decode
+    # cache during the step that the trace line describes.
+    m, _ = machine_from("main:\n  irmovl $0x10, %eax\n  rmmovl %eax, 0(%ebx)\n"
+                        "  nop\n  halt\n", backend=backend)
+    lines = []
+    assert m.run(10, trace=lines.append) == 4
+    assert m.icache_clears == 1
+    assert [line.split(" instr=")[1].split(" regs=")[0] for line in lines] == [
+        "irmovl $0x10, %eax", "rmmovl %eax, 0x0(%ebx)", "nop", "halt"]
+
+
 # ---------------------------------------------------------------------------
 # decode cache correctness under self-modifying code
 
@@ -357,7 +370,8 @@ def test_lockstep_random_programs():
     # whatever the programs do, including faulting.
     rng = random.Random(0xD1FF)
     for _ in range(25):
-        image = [(a, rng.getrandbits(8)) for a in range(0, rng.randrange(10, 60))]
+        image = asm.Image([(a, rng.getrandbits(8))
+                           for a in range(0, rng.randrange(10, 60))])
         concrete = Machine(PagedMemory(), eip=0, esp=8192, image=image)
         abstract = Machine(SparseMemory(), eip=0, esp=8192, image=image)
         run_in_lockstep(concrete, abstract, 200, seed=rng.getrandbits(16))
@@ -467,7 +481,7 @@ def test_lockstep_final_sweep_catches_unrecorded_store():
     concrete, abstract = lockstep_pair(STORE_LOOP)
     concrete.mem.write(0x200, 0x5B)  # bypasses both machines' write sets
     with pytest.raises(CorrespondenceFailure) as info:
-        run_in_lockstep(concrete, abstract, 20, sample=0)
+        run_in_lockstep(concrete, abstract, 20)
     assert ("in the final sweep after step 20: memory at 0x200 is 0x5b "
             "concrete vs 0x5a abstract") in str(info.value)
 
@@ -545,7 +559,7 @@ def test_set_reg_validation():
 
 
 def test_copy_independence():
-    m = Machine(PagedMemory(), image=[(0, 0x10), (1, 0x00)])
+    m = Machine(PagedMemory(), image=asm.Image([(0, 0x10), (1, 0x00)]))
     dup = m.copy()
     dup.step()
     assert m.eip == 0 and dup.eip == 1

@@ -24,21 +24,13 @@ def block_addr(block, offset):
     return (block << 24) | offset
 
 
-@pytest.mark.parametrize("pages", [0, 1, 4])
-def test_new_is_wellformed(pages):
-    mem = PagedMemory(pages)
+def test_new_is_wellformed():
+    mem = PagedMemory()
     assert mem.wellformed()
     assert mem.table == [SENTINEL] * TABLE_SIZE
-    assert len(mem.array) == pages * PAGE_SIZE
+    assert len(mem.array) == 0
     assert mem.next_addr == 0
     assert mem.pages_allocated() == 0
-
-
-def test_new_rejects_bad_page_count():
-    with pytest.raises(ValueError):
-        PagedMemory(TABLE_SIZE + 1)
-    with pytest.raises(ValueError):
-        PagedMemory(-1)
 
 
 def test_fresh_reads_zero():
@@ -83,14 +75,6 @@ def test_add_page_fresh():
     assert mem.wellformed()
 
 
-def test_add_page_preallocated_no_growth():
-    mem = PagedMemory(2)
-    mem.add_page(0)
-    assert mem.table[0] == 0
-    assert len(mem.array) == 2 * PAGE_SIZE
-    assert mem.wellformed()
-
-
 def test_add_page_distinct_bases():
     mem = PagedMemory()
     mem.add_page(7)
@@ -119,8 +103,14 @@ def test_wellformed_violations_by_construction():
     assert not mem.wellformed()
 
 
+def test_wellformed_rejects_backing_past_the_cursor():
+    mem = PagedMemory()
+    mem.write(0, 3)
+    mem.array += bytes(PAGE_SIZE)  # a page no block owns
+    assert not mem.wellformed()
+
+
 def test_pages_allocated_examples():
-    assert PagedMemory(5).pages_allocated() == 0
     mem = PagedMemory()
     mem.write(123, 45)
     assert mem.pages_allocated() == 1
