@@ -10,10 +10,10 @@ is a usage error (exit 2) for the commands that take `--seed`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,13 +27,13 @@ from .errors import (
 from .isa import MASK32, REGISTER_NAMES, Status
 from .lockstep import (
     DemoCases,
+    DualState,
     FailureRecord,
     ObligationOutcome,
     ObligationReport,
     Y86Cases,
     check_obligations,
     const_spec,
-    create_dual,
     demo_spec,
     raise_injected_fault,
     unsound_const_demo,
@@ -46,16 +46,6 @@ from .mem_sparse import SparseMemory
 DEFAULT_STEPS = 300
 DEFAULT_ESP = 8192
 EAX, EDX = 0, 2
-
-
-@dataclass
-class RunConfig:
-    backend: str = "paged"
-    steps: int = DEFAULT_STEPS
-    entry: str | None = None
-    esp: int = DEFAULT_ESP
-    trace: bool = False
-    seed: int = 0
 
 
 def bundled_program(name: str) -> str:
@@ -121,48 +111,39 @@ def _print_final(machine: Machine, steps: int) -> None:
                    for name, value in zip(REGISTER_NAMES, machine.regs)))
 
 
-def cmd_run(image_path: str, config: RunConfig) -> int:
+def cmd_run(image_path: str, backend: str, steps: int, entry: str | None,
+            esp: int, trace: bool, seed: int) -> int:
     try:
         image, symbols = asm.load_image(image_path)
-        entry = _resolve_entry(config.entry, symbols, image)
+        eip = _resolve_entry(entry, symbols, image)
     except (OSError, Y86Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for name, value in (("entry", entry), ("esp", config.esp)):
+    for name, value in (("entry", eip), ("esp", esp)):
         if not 0 <= value <= MASK32:
             print(f"error: {name} {value:#x} is not a 32-bit address",
                   file=sys.stderr)
             return 2
-    trace = print if config.trace else None
-    if config.backend == "lockstep":
-        concrete = Machine(PagedMemory(), eip=entry, esp=config.esp, image=image)
-        abstract = Machine(SparseMemory(), eip=entry, esp=config.esp, image=image)
-        report = run_in_lockstep(concrete, abstract, config.steps,
-                                 seed=config.seed)
-        if trace:
-            # Re-run the abstract side for the trace; both sides agreed.
-            replay = Machine(SparseMemory(), eip=entry, esp=config.esp,
-                             image=image)
-            replay.run(config.steps, trace=trace)
-        machine, steps = concrete, report.steps
-        _print_final(machine, steps)
+    trace = print if trace else None
+    if backend == "lockstep":
+        machine = Machine(PagedMemory(), eip=eip, esp=esp, image=image)
+        abstract = Machine(SparseMemory(), eip=eip, esp=esp, image=image)
+        report = run_in_lockstep(machine, abstract, steps, seed=seed,
+                                 trace=trace)
+        _print_final(machine, report.steps)
         print(f"correspondence verified at {report.steps} steps, "
               f"{report.addresses_checked} addresses compared")
     else:
-        backend = {"paged": PagedMemory, "sparse": SparseMemory}.get(config.backend)
-        if backend is None:
-            print(f"error: unknown backend {config.backend!r}", file=sys.stderr)
-            return 1
-        machine = Machine(backend(), eip=entry, esp=config.esp, image=image)
-        steps = machine.run(config.steps, trace=trace)
-        _print_final(machine, steps)
+        memory = {"paged": PagedMemory, "sparse": SparseMemory}[backend]
+        machine = Machine(memory(), eip=eip, esp=esp, image=image)
+        _print_final(machine, machine.run(steps, trace=trace))
     return 0 if machine.status is Status.HLT else 1
 
 
 # ---------------------------------------------------------------------------
 # obligation checking
 
-def _const_scenarios(debug: bool) -> ObligationReport:
+def _const_scenarios() -> ObligationReport:
     """Scripted protocol behaviors for the abort fixture; each scenario is
     an expected-failure check that passes when the protocol reacts as
     specified."""
@@ -175,7 +156,7 @@ def _const_scenarios(debug: bool) -> ObligationReport:
         outcomes.append(outcome)
 
     # 1. Unprotected completion of a double update is rejected by name.
-    dual = create_dual(const_spec(protect=False), debug=debug)
+    dual = DualState(const_spec(protect=False))
     try:
         dual.invoke("change-fld")
         record("unprotected-double-update", False, "no AtomicityViolation")
@@ -184,8 +165,7 @@ def _const_scenarios(debug: bool) -> ObligationReport:
                f"violation does not name the export: {exc}")
 
     # 2. Protected abort poisons the state; the next invoke fails.
-    dual = create_dual(const_spec(protect=True, fault=raise_injected_fault),
-                       debug=debug)
+    dual = DualState(const_spec(protect=True, fault=raise_injected_fault))
     try:
         dual.invoke("change-fld")
         record("protected-abort-poisons", False, "fault did not propagate")
@@ -213,25 +193,29 @@ def _const_scenarios(debug: bool) -> ObligationReport:
     return ObligationReport("const-stobj", 0, outcomes)
 
 
-def cmd_check(target: str, n_cases: int, seed: int,
-              report_path: str | None = None, debug: bool = False) -> int:
+def _run_suite(target: str, n_cases: int, seed: int) -> ObligationReport:
     if target == "demo-st":
         spec = demo_spec()
-        report = check_obligations(spec, DemoCases(spec), n_cases, seed)
-    elif target == "y86":
-        report = check_obligations(y86_spec(), Y86Cases(), n_cases, seed)
-    elif target == "const-stobj":
-        report = _const_scenarios(debug)
-    else:
-        print(f"error: unknown target {target!r}", file=sys.stderr)
-        return 2
-    sys.stdout.write(report.to_text())
-    if report_path:
-        try:
-            report.write_records(report_path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        return check_obligations(spec, DemoCases(spec), n_cases, seed)
+    if target == "y86":
+        return check_obligations(y86_spec(), Y86Cases(), n_cases, seed)
+    return _const_scenarios()
+
+
+def cmd_check(target: str, n_cases: int, seed: int,
+              report_path: str | None = None) -> int:
+    # The report file is opened before the suite runs, so an unwritable
+    # path costs no cases.
+    try:
+        with (open(report_path, "w", encoding="utf-8") if report_path
+              else contextlib.nullcontext()) as records:
+            report = _run_suite(target, n_cases, seed)
+            sys.stdout.write(report.to_text())
+            if records:
+                records.write(report.to_jsonl())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if report.ok else 1
 
 
@@ -317,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--report", default=None,
                    help="also write machine-readable records (JSON lines)")
-    p.add_argument("--protect-debug", action="store_true")
 
     p = sub.add_parser("popcount", help="verify the bundled popcount program")
     p.add_argument("--width", type=int, default=8)
@@ -332,13 +315,11 @@ def main(argv=None) -> int:
     if args.command == "asm":
         return cmd_asm(args.source, args.output)
     if args.command == "run":
-        config = RunConfig(backend=args.backend, steps=args.steps,
-                           entry=args.entry, esp=args.esp, trace=args.trace,
-                           seed=args.seed)
-        return cmd_run(args.image, config)
+        return cmd_run(args.image, args.backend, args.steps, args.entry,
+                       args.esp, args.trace, args.seed)
     if args.command == "check":
         return cmd_check(args.target, args.cases, args.seed,
-                         report_path=args.report, debug=args.protect_debug)
+                         report_path=args.report)
     return cmd_popcount(args.width, args.samples, args.seed)
 
 

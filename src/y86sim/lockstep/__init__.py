@@ -10,7 +10,6 @@ from .core import (
     ObligationOutcome,
     ObligationReport,
     check_obligations,
-    create_dual,
 )
 from .fixtures import (
     DemoCases,
@@ -28,7 +27,6 @@ from .fixtures import (
 __all__ = [
     "CaseSource", "DualState", "Export", "FailureRecord", "LockstepSpec",
     "ObligationOutcome", "ObligationReport", "check_obligations",
-    "create_dual",
     "DemoCases", "EvenMap", "OneField", "SlotStore",
     "Y86Cases", "const_spec", "demo_spec", "raise_injected_fault",
     "unsound_const_demo", "y86_spec",

@@ -14,8 +14,11 @@ randomized property suites via check_obligations.
 Exports whose concrete function performs more than one primitive update
 must be marked `protect`: the state is poisoned while such an export
 runs, so an abort mid-update leaves it unusable instead of silently
-inconsistent.  Unprotected exports are checked dynamically: completing
-one with more than one primitive update raises AtomicityViolation.
+inconsistent, and every later invoke raises PoisonedState naming the
+export, the exception that aborted it and the number of primitive
+updates it had done.  Unprotected exports are checked dynamically:
+completing one with more than one primitive update raises
+AtomicityViolation.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Literal
 
 from ..errors import (
@@ -35,7 +39,7 @@ from ..errors import (
 )
 
 __all__ = [
-    "Export", "LockstepSpec", "DualState", "create_dual",
+    "Export", "LockstepSpec", "DualState",
     "CaseSource", "FailureRecord", "ObligationOutcome", "ObligationReport",
     "check_obligations",
 ]
@@ -112,15 +116,18 @@ class DualState:
     active.  Guards should therefore not depend on abstract state beyond
     the (trusted) recognizer, mirroring how recognizer checks are elided
     on managed states.
+
+    Creating a DualState runs the creators and, in check mode, asserts the
+    creator obligations.  A protected export that raises poisons the
+    state; the PoisonedState raised by every later invoke, until `reset`,
+    reads "export 'NAME' aborted by EXC; N update(s) done".
     """
 
-    def __init__(self, spec: LockstepSpec, mode: str = "check",
-                 debug: bool = False):
+    def __init__(self, spec: LockstepSpec, mode: str = "check"):
         if mode not in ("check", "fast"):
             raise ValueError(f"mode must be 'check' or 'fast', got {mode!r}")
         self.spec = spec
         self.mode = mode
-        self.debug = debug
         self.poisoned = False
         self._exports = {e.name: e for e in spec.exports}
         self._poison_info: str | None = None
@@ -183,14 +190,9 @@ class DualState:
             result = export.exec_fn(concrete, *args)
         except Exception as exc:
             if export.protect:
-                if self.debug:
-                    self._poison_info = (
-                        f"export {name!r} aborted by {type(exc).__name__}; "
-                        f"last primitive update "
-                        f"{getattr(concrete, 'last_update', None)!r}, "
-                        f"{_update_count(concrete) - before} update(s) done")
-                else:
-                    self._poison_info = f"export {name!r} aborted"
+                self._poison_info = (
+                    f"export {name!r} aborted by {type(exc).__name__}; "
+                    f"{_update_count(concrete) - before} update(s) done")
             raise
         if export.protect:
             self.poisoned = False
@@ -220,12 +222,6 @@ class DualState:
                     f"{name}: recognizer rejects the updated abstract value")
             self.abstract = new_abstract
         return None
-
-
-def create_dual(spec: LockstepSpec, mode: str = "check",
-                debug: bool = False) -> DualState:
-    """Create a DualState, asserting the creator obligations in check mode."""
-    return DualState(spec, mode=mode, debug=debug)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +316,13 @@ class ObligationReport:
             for o in self.outcomes
         ]
 
+    def to_jsonl(self) -> str:
+        """The records of `to_records`, one JSON line each."""
+        return "".join(json.dumps(record, sort_keys=True) + "\n"
+                       for record in self.to_records())
+
     def write_records(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.to_records():
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
 
 def _evaluate_case(spec, export, concrete, abstract, args):

@@ -48,13 +48,12 @@ SLOT_COUNT = 100
 class SlotStore:
     """Concrete store: a fixed array of arbitrary values plus a misc field."""
 
-    __slots__ = ("slots", "misc", "update_count", "last_update")
+    __slots__ = ("slots", "misc", "update_count")
 
     def __init__(self, size: int = SLOT_COUNT):
         self.slots = [0] * size
         self.misc = None
         self.update_count = 0
-        self.last_update = None
 
     def get_slot(self, k):
         return self.slots[k]
@@ -62,7 +61,6 @@ class SlotStore:
     def set_slot(self, k, v):
         self.slots[k] = v
         self.update_count += 1
-        self.last_update = ("slot", k, v)
 
     def get_misc(self):
         return self.misc
@@ -70,14 +68,12 @@ class SlotStore:
     def set_misc(self, v):
         self.misc = v
         self.update_count += 1
-        self.last_update = ("misc", v)
 
     def copy(self) -> "SlotStore":
         dup = SlotStore.__new__(SlotStore)
         dup.slots = list(self.slots)
         dup.misc = self.misc
         dup.update_count = self.update_count
-        dup.last_update = self.last_update
         return dup
 
 
@@ -286,12 +282,11 @@ class DemoCases(CaseSource):
 class OneField:
     """Concrete side: one integer field, instrumented."""
 
-    __slots__ = ("fld", "update_count", "last_update")
+    __slots__ = ("fld", "update_count")
 
     def __init__(self):
         self.fld = 0
         self.update_count = 0
-        self.last_update = None
 
     def get_fld(self):
         return self.fld
@@ -299,13 +294,11 @@ class OneField:
     def set_fld(self, v):
         self.fld = v
         self.update_count += 1
-        self.last_update = ("fld", v)
 
     def copy(self) -> "OneField":
         dup = OneField()
         dup.fld = self.fld
         dup.update_count = self.update_count
-        dup.last_update = self.last_update
         return dup
 
 

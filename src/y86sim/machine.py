@@ -43,7 +43,7 @@ class Machine:
 
     __slots__ = (
         "regs", "eip", "zf", "sf", "of", "status", "mem",
-        "_updates", "_last_update", "icache_clears",
+        "_updates", "icache_clears",
         "_icache", "_icache_bytes", "_step_writes",
     )
 
@@ -56,7 +56,6 @@ class Machine:
         """
         self.regs = [0] * 8
         self._updates = 0
-        self._last_update = None
         self.icache_clears = 0
         self._icache: dict[int, tuple[Instruction, int]] = {}
         self._icache_bytes: dict[int, int] = {}
@@ -82,11 +81,6 @@ class Machine:
         """
         return self._updates + getattr(self.mem, "update_count", 0)
 
-    @property
-    def last_update(self):
-        mem_last = getattr(self.mem, "last_update", None)
-        return self._last_update if self._last_update is not None else mem_last
-
     # -- counted single-field updaters --------------------------------------
 
     def set_reg(self, i: int, value: int) -> None:
@@ -96,24 +90,20 @@ class Machine:
             raise ValueError("register value must be 32-bit")
         self.regs[i] = value
         self._updates += 1
-        self._last_update = ("reg", i, value)
 
     def set_eip(self, value: int) -> None:
         if not 0 <= value <= MASK32:
             raise ValueError("eip must be 32-bit")
         self.eip = value
         self._updates += 1
-        self._last_update = ("eip", value)
 
     def set_flags(self, flags: Flags) -> None:
         self.zf, self.sf, self.of = flags.zf, flags.sf, flags.of
         self._updates += 1
-        self._last_update = ("flags", flags)
 
     def set_status(self, status: Status) -> None:
         self.status = status
         self._updates += 1
-        self._last_update = ("status", status)
 
     # -- memory access -------------------------------------------------------
 
@@ -129,7 +119,6 @@ class Machine:
         if self._step_writes is not None:
             self._step_writes.add(addr)
         self.mem = self.mem.write(addr, value)
-        self._last_update = ("mem", addr, value)
 
     def read_word(self, addr: int) -> int:
         rd = self.mem.read
@@ -243,18 +232,18 @@ class Machine:
                 consumed += 1
         else:
             while consumed < n and self.status is Status.AOK:
-                eip0 = self.eip
-                # Decode before the step: a store into cached code clears
-                # the cache during it.
-                entry = self._icache.get(eip0) or self._fetch_decode(eip0)
-                self.step()
                 consumed += 1
-                trace(self.trace_line(consumed, eip0, entry))
+                trace(self.traced_step(consumed))
         return consumed
 
-    def trace_line(self, k: int, eip0: int, entry) -> str:
-        """One trace line for step `k`, which ran the decode-cache `entry`
-        (None for an invalid instruction) found at `eip0`."""
+    def traced_step(self, k: int) -> str:
+        """Run `step` as step `k` of a trace; returns the step's trace line,
+        which names the instruction that ran and the state after it."""
+        eip0 = self.eip
+        # Decode before the step: a store into cached code clears the
+        # cache during it.
+        entry = self._icache.get(eip0) or self._fetch_decode(eip0)
+        self.step()
         text = format_instruction(entry[0]) if entry else "(invalid)"
         regs = " ".join(f"{v:08x}" for v in self.regs)
         return (f"step={k} eip={eip0:#010x} instr={text} regs={regs} "
@@ -271,7 +260,6 @@ class Machine:
         new.status = self.status
         new.mem = self.mem.copy()
         new._updates = self._updates
-        new._last_update = self._last_update
         new.icache_clears = self.icache_clears
         new._icache = dict(self._icache)
         new._icache_bytes = dict(self._icache_bytes)
@@ -371,7 +359,7 @@ def _divergence(when: str, field: str, got, want, recent) -> CorrespondenceFailu
 
 
 def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
-                    seed: int = 0) -> LockstepReport:
+                    seed: int = 0, trace=None) -> LockstepReport:
     """Step two machines together, checking agreement after every step.
 
     `concrete` must use a paged backend and `abstract` a sparse one.
@@ -382,6 +370,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     final sweep compares every address the sparse memory holds.  Raises
     CorrespondenceFailure on the first divergence, naming the step, the
     differing field or address, both values and the last few eips.
+    `trace`, when given, is called with the abstract side's trace line for
+    each step as it runs.
     """
     if n < 0:
         raise ValueError("step budget must be a natural number")
@@ -401,8 +391,11 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
         while steps < n and abstract.status is Status.AOK:
             recent.append(abstract.eip)
             concrete.step()
-            abstract.step()
             steps += 1
+            if trace is None:
+                abstract.step()
+            else:
+                trace(abstract.traced_step(steps))
             mem = concrete.mem
             if mem.next_addr != allocated:
                 allocated = mem.next_addr

@@ -31,14 +31,13 @@ class PagedMemory:
     observe how many updates one operation performed.
     """
 
-    __slots__ = ("table", "array", "next_addr", "update_count", "last_update")
+    __slots__ = ("table", "array", "next_addr", "update_count")
 
     def __init__(self):
         self.array = bytearray()
         self.table = [SENTINEL] * TABLE_SIZE
         self.next_addr = 0
         self.update_count = 0
-        self.last_update = None
 
     def read(self, addr: int) -> int:
         if not 0 <= addr < MEM_SIZE:
@@ -58,7 +57,6 @@ class PagedMemory:
             self.add_page(top)
         self.array[self.table[top] | (addr & _OFFSET_MASK)] = value
         self.update_count += 1
-        self.last_update = ("byte", addr, value)
         return self
 
     def add_page(self, top: int) -> "PagedMemory":
@@ -79,7 +77,6 @@ class PagedMemory:
         self.update_count += 1
         self.next_addr = base + PAGE_SIZE
         self.update_count += 1
-        self.last_update = ("page", top, base)
         return self
 
     def wellformed(self) -> bool:
@@ -104,7 +101,6 @@ class PagedMemory:
         new.array = bytearray(self.array)
         new.next_addr = self.next_addr
         new.update_count = self.update_count
-        new.last_update = self.last_update
         return new
 
     def __repr__(self) -> str:

@@ -16,10 +16,10 @@ from y86sim.errors import (
 from y86sim.isa import Status
 from y86sim.lockstep import (
     DemoCases,
+    DualState,
     Y86Cases,
     check_obligations,
     const_spec,
-    create_dual,
     demo_spec,
     raise_injected_fault,
     unsound_const_demo,
@@ -131,14 +131,14 @@ def test_criterion_4_read_over_write():
 
 def test_criterion_5_atomicity_protocol():
     # Unprotected double update is rejected by name.
-    dual = create_dual(const_spec(protect=False))
+    dual = DualState(const_spec(protect=False))
     named = False
     try:
         dual.invoke("change-fld")
     except AtomicityViolation as exc:
         named = "change-fld" in str(exc)
     # Protected abort poisons; the next invoke fails.
-    dual = create_dual(const_spec(protect=True, fault=raise_injected_fault))
+    dual = DualState(const_spec(protect=True, fault=raise_injected_fault))
     poisoned_then_blocked = False
     try:
         dual.invoke("change-fld")

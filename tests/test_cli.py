@@ -6,6 +6,7 @@ import pytest
 
 from y86sim.cli import bundled_program, main, verify_popcount
 from y86sim.lockstep import DemoCases, check_obligations, demo_spec
+from y86sim.machine import Machine
 
 
 @pytest.fixture()
@@ -61,6 +62,35 @@ def test_run_lockstep_reports_correspondence(simple_yim, capsys):
     assert "eax=0x3ff" in out
 
 
+def test_run_lockstep_trace_runs_the_program_once(tmp_path, capsys,
+                                                 monkeypatch):
+    source = tmp_path / "stress.ys"
+    source.write_text(bundled_program("stress.ys"))
+    image = tmp_path / "stress.yim"
+    assert main(["asm", str(source), "-o", str(image)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(image), "--backend", "sparse", "--trace"]) == 0
+    sparse_lines = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("step=")]
+    calls = 0
+    step = Machine.step
+
+    def counted_step(machine):
+        nonlocal calls
+        calls += 1
+        step(machine)
+
+    monkeypatch.setattr(Machine, "step", counted_step)
+    assert main(["run", str(image), "--backend", "lockstep", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "correspondence verified at 22 steps" in out
+    # One step per side per step: no third machine replays the program.
+    assert calls == 2 * 22
+    assert [line for line in out.splitlines()
+            if line.startswith("step=")] == sparse_lines
+    assert len(sparse_lines) == 22
+
+
 def test_run_trace(simple_yim, capsys):
     main(["run", str(simple_yim), "--trace"])
     out = capsys.readouterr().out
@@ -91,8 +121,10 @@ def test_run_rejects_out_of_range_address(simple_yim, capsys, option):
 
 
 def assert_one_error_line(capsys):
-    err = capsys.readouterr().err
+    """Assert that stderr is one `error:` line; returns stdout."""
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return out
 
 
 @pytest.mark.parametrize("content", [b"0x100000000: 00\n",
@@ -126,7 +158,8 @@ def test_check_unwritable_report_is_one_error_line(tmp_path, capsys):
     report = tmp_path / "missing" / "report.jsonl"
     assert main(["check", "demo-st", "--cases", "10",
                  "--report", str(report)]) == 1
-    assert_one_error_line(capsys)
+    # The path is opened before the suite runs: no report is printed.
+    assert assert_one_error_line(capsys) == ""
 
 
 @pytest.mark.parametrize("argv", [["check", "demo-st", "--cases", "-5"],
@@ -195,6 +228,12 @@ def test_verify_popcount_counts():
 def test_bench_command_is_gone():
     with pytest.raises(SystemExit) as info:
         main(["bench"])
+    assert info.value.code == 2
+
+
+def test_protect_debug_option_is_gone():
+    with pytest.raises(SystemExit) as info:
+        main(["check", "const-stobj", "--protect-debug"])
     assert info.value.code == 2
 
 
