@@ -10,7 +10,9 @@ Source grammar (one item per line, `#` starts a comment):
     rmmovl %rA, D(%rB)          pushl, popl, halt, nop
 
 Immediates and displacements are decimal or 0x-hex numbers or label
-names; the displacement in D(%reg) may be omitted (0).
+names; the displacement in D(%reg) may be omitted (0).  Mnemonics and
+their operands are read from `isa.MNEMONICS` and `isa.OPERANDS`; this
+module defines no instruction table of its own.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .errors import (
 )
 from .isa import (
     MASK32,
-    AluFn,
-    Cond,
+    MEM_SIZE,
+    MNEMONICS,
+    OPERANDS,
     Instruction,
-    Kind,
     Register,
     REGISTER_NAMES,
     decode,
@@ -44,8 +46,6 @@ __all__ = [
     "Label", "Pos", "SourceInstr", "MemRef", "Program", "Image",
     "parse", "assemble", "disassemble", "save_image", "load_image",
 ]
-
-MEM_SIZE = 1 << 32
 
 
 # ---------------------------------------------------------------------------
@@ -84,49 +84,7 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# mnemonic tables
-
-_RR_CONDS = {
-    "rrmovl": Cond.ALWAYS, "cmovle": Cond.LE, "cmovl": Cond.L,
-    "cmove": Cond.E, "cmovne": Cond.NE, "cmovge": Cond.GE, "cmovg": Cond.G,
-}
-_JMP_CONDS = {
-    "jmp": Cond.ALWAYS, "jle": Cond.LE, "jl": Cond.L, "je": Cond.E,
-    "jne": Cond.NE, "jge": Cond.GE, "jg": Cond.G,
-}
-_ALU_FNS = {"addl": AluFn.ADD, "subl": AluFn.SUB,
-            "andl": AluFn.AND, "xorl": AluFn.XOR}
-
-# mnemonic -> operand shape, as a tuple over {"reg", "imm", "mem", "byte"}
-_SHAPES: dict[str, tuple[str, ...]] = {
-    "halt": (), "nop": (), "ret": (),
-    "irmovl": ("imm", "reg"),
-    "rmmovl": ("reg", "mem"),
-    "mrmovl": ("mem", "reg"),
-    "call": ("imm",),
-    "pushl": ("reg",), "popl": ("reg",),
-    ".byte": ("byte",),
-}
-for _name in _RR_CONDS:
-    _SHAPES[_name] = ("reg", "reg")
-for _name in _ALU_FNS:
-    _SHAPES[_name] = ("reg", "reg")
-for _name in _JMP_CONDS:
-    _SHAPES[_name] = ("imm",)
-
-_KINDS: dict[str, Kind] = {
-    "halt": Kind.HALT, "nop": Kind.NOP, "ret": Kind.RET,
-    "irmovl": Kind.IRMOVL, "rmmovl": Kind.RMMOVL, "mrmovl": Kind.MRMOVL,
-    "call": Kind.CALL, "pushl": Kind.PUSHL, "popl": Kind.POPL,
-}
-for _name in _RR_CONDS:
-    _KINDS[_name] = Kind.RRMOVL
-for _name in _ALU_FNS:
-    _KINDS[_name] = Kind.ALU
-for _name in _JMP_CONDS:
-    _KINDS[_name] = Kind.JMP
-
-del _name
+# operand parsing
 
 _SYMBOL = r"[A-Za-z_.][\w.$-]*"
 _NUMBER = r"-?(?:0[xX][0-9a-fA-F]+|\d+)"
@@ -180,6 +138,18 @@ def _parse_mem(token: str, lineno: int) -> MemRef:
     return MemRef(disp, _parse_reg(reg_tok, lineno))
 
 
+def _parse_byte(token: str, lineno: int) -> int:
+    value = _parse_number(token, lineno)
+    if value > 0xFF:
+        raise ParseError(f".byte value {token!r} exceeds 255", lineno)
+    return value
+
+
+# operand slot (an `isa.OPERANDS` slot, or "byte" for .byte) -> parser
+_PARSERS = {"ra": _parse_reg, "rb": _parse_reg, "imm": _parse_imm,
+            "dest": _parse_imm, "mem": _parse_mem, "byte": _parse_byte}
+
+
 def parse(text: str) -> Program:
     """Parse assembler source into a Program.
 
@@ -213,28 +183,20 @@ def parse(text: str) -> Program:
                 raise ParseError(".pos needs an address", lineno)
             items.append(Pos(addr, lineno))
             continue
-        shape = _SHAPES.get(mnemonic)
-        if shape is None:
+        if mnemonic == ".byte":
+            slots = ("byte",)
+        elif mnemonic in MNEMONICS:
+            slots = OPERANDS[MNEMONICS[mnemonic][0]]
+        else:
             raise ParseError(f"unknown mnemonic {mnemonic!r}", lineno)
         tokens = [t.strip() for t in rest.split(",")] if rest.strip() else []
-        if len(tokens) != len(shape):
+        if len(tokens) != len(slots):
             raise ParseError(
-                f"{mnemonic} takes {len(shape)} operand(s), got {len(tokens)}",
+                f"{mnemonic} takes {len(slots)} operand(s), got {len(tokens)}",
                 lineno)
-        operands = []
-        for want, token in zip(shape, tokens):
-            if want == "reg":
-                operands.append(_parse_reg(token, lineno))
-            elif want == "imm":
-                operands.append(_parse_imm(token, lineno))
-            elif want == "mem":
-                operands.append(_parse_mem(token, lineno))
-            else:  # byte
-                value = _parse_number(token, lineno)
-                if value > 0xFF:
-                    raise ParseError(f".byte value {token!r} exceeds 255", lineno)
-                operands.append(value)
-        items.append(SourceInstr(mnemonic, tuple(operands), lineno))
+        operands = tuple(_PARSERS[slot](token, lineno)
+                         for slot, token in zip(slots, tokens))
+        items.append(SourceInstr(mnemonic, operands, lineno))
     return Program(tuple(items))
 
 
@@ -244,7 +206,7 @@ def parse(text: str) -> Program:
 def _size_of(instr: SourceInstr) -> int:
     if instr.mnemonic == ".byte":
         return 1
-    return encoded_length(_KINDS[instr.mnemonic])
+    return encoded_length(MNEMONICS[instr.mnemonic][0])
 
 
 def _resolve(value: int | str, symbols: dict[str, int], lineno: int) -> int:
@@ -258,31 +220,17 @@ def _resolve(value: int | str, symbols: dict[str, int], lineno: int) -> int:
 
 
 def _build(instr: SourceInstr, symbols: dict[str, int]) -> Instruction:
-    name, ops, line = instr.mnemonic, instr.operands, instr.line
-    kind = _KINDS[name]
-    if kind is Kind.RRMOVL:
-        return Instruction(kind, fn=_RR_CONDS[name], ra=ops[0], rb=ops[1])
-    if kind is Kind.ALU:
-        return Instruction(kind, fn=_ALU_FNS[name], ra=ops[0], rb=ops[1])
-    if kind is Kind.JMP:
-        return Instruction(kind, fn=_JMP_CONDS[name],
-                           value=_resolve(ops[0], symbols, line))
-    if kind is Kind.IRMOVL:
-        return Instruction(kind, rb=ops[1],
-                           value=_resolve(ops[0], symbols, line))
-    if kind is Kind.RMMOVL:
-        mem = ops[1]
-        return Instruction(kind, ra=ops[0], rb=mem.base,
-                           value=_resolve(mem.disp, symbols, line))
-    if kind is Kind.MRMOVL:
-        mem = ops[0]
-        return Instruction(kind, ra=ops[1], rb=mem.base,
-                           value=_resolve(mem.disp, symbols, line))
-    if kind is Kind.CALL:
-        return Instruction(kind, value=_resolve(ops[0], symbols, line))
-    if kind in (Kind.PUSHL, Kind.POPL):
-        return Instruction(kind, ra=ops[0])
-    return Instruction(kind)
+    kind, fn = MNEMONICS[instr.mnemonic]
+    fields = {}
+    for slot, op in zip(OPERANDS[kind], instr.operands):
+        if slot == "mem":
+            fields["rb"] = op.base
+            fields["value"] = _resolve(op.disp, symbols, instr.line)
+        elif slot in ("imm", "dest"):
+            fields["value"] = _resolve(op, symbols, instr.line)
+        else:
+            fields[slot] = op
+    return Instruction(kind, fn, **fields)
 
 
 def _overlaps(spans, lo, hi):

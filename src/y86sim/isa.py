@@ -4,6 +4,11 @@ Encoding layout: one opcode byte (high nibble = instruction class, low
 nibble = function/condition), an optional register byte (rA in the high
 nibble, rB in the low nibble), and an optional 32-bit little-endian
 constant.  Instruction lengths are therefore 1, 2, 5 or 6 bytes.
+
+The instruction table is stated once, in `OPERANDS` (each kind's operand
+slots) and `MNEMONICS` (each name's kind and function nibble); lengths,
+the validity rules of `Instruction`, `decode`, `format_instruction` and
+the assembler all read it.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ __all__ = [
     "MASK32", "Register", "Flags", "Status", "Kind", "Cond", "AluFn",
     "Instruction", "encoded_length", "decode", "encode",
     "cond_holds", "alu_bits", "format_instruction",
-    "REGISTER_NAMES",
+    "REGISTER_NAMES", "OPERANDS", "MNEMONICS", "MEM_SIZE",
 ]
 
 MASK32 = 0xFFFFFFFF
+MEM_SIZE = 1 << 32  # bytes in the address space
 
 
 class Register(IntEnum):
@@ -99,28 +105,51 @@ class AluFn(IntEnum):
     XOR = 3
 
 
-_LENGTHS = {
-    Kind.HALT: 1, Kind.NOP: 1, Kind.RRMOVL: 2, Kind.IRMOVL: 6,
-    Kind.RMMOVL: 6, Kind.MRMOVL: 6, Kind.ALU: 2, Kind.JMP: 5,
-    Kind.CALL: 5, Kind.RET: 1, Kind.PUSHL: 2, Kind.POPL: 2,
+# Operand slots of each kind, in assembler surface order:
+#   ra    a register in the rA nibble
+#   rb    a register in the rB nibble
+#   imm   the constant as an immediate, `$imm`
+#   dest  the constant as a code address
+#   mem   `D(%rB)`: the constant as a displacement off the rB register
+# A register nibble that no slot names holds 0xF (Register.NONE).
+OPERANDS: dict[Kind, tuple[str, ...]] = {
+    Kind.HALT: (), Kind.NOP: (),
+    Kind.RRMOVL: ("ra", "rb"), Kind.IRMOVL: ("imm", "rb"),
+    Kind.RMMOVL: ("ra", "mem"), Kind.MRMOVL: ("mem", "ra"),
+    Kind.ALU: ("ra", "rb"), Kind.JMP: ("dest",), Kind.CALL: ("dest",),
+    Kind.RET: (), Kind.PUSHL: ("ra",), Kind.POPL: ("ra",),
 }
 
-# Kinds carrying a register byte / a 32-bit constant.
-_HAS_REGBYTE = frozenset((
-    Kind.RRMOVL, Kind.IRMOVL, Kind.RMMOVL, Kind.MRMOVL,
-    Kind.ALU, Kind.PUSHL, Kind.POPL,
-))
-_HAS_VALUE = frozenset((
-    Kind.IRMOVL, Kind.RMMOVL, Kind.MRMOVL, Kind.JMP, Kind.CALL,
-))
+# Assembler name -> (kind, function nibble); every defined encoding has one.
+MNEMONICS: dict[str, tuple[Kind, int]] = {
+    "halt": (Kind.HALT, 0), "nop": (Kind.NOP, 0),
+    "rrmovl": (Kind.RRMOVL, Cond.ALWAYS), "cmovle": (Kind.RRMOVL, Cond.LE),
+    "cmovl": (Kind.RRMOVL, Cond.L), "cmove": (Kind.RRMOVL, Cond.E),
+    "cmovne": (Kind.RRMOVL, Cond.NE), "cmovge": (Kind.RRMOVL, Cond.GE),
+    "cmovg": (Kind.RRMOVL, Cond.G),
+    "irmovl": (Kind.IRMOVL, 0), "rmmovl": (Kind.RMMOVL, 0),
+    "mrmovl": (Kind.MRMOVL, 0),
+    "addl": (Kind.ALU, AluFn.ADD), "subl": (Kind.ALU, AluFn.SUB),
+    "andl": (Kind.ALU, AluFn.AND), "xorl": (Kind.ALU, AluFn.XOR),
+    "jmp": (Kind.JMP, Cond.ALWAYS), "jle": (Kind.JMP, Cond.LE),
+    "jl": (Kind.JMP, Cond.L), "je": (Kind.JMP, Cond.E),
+    "jne": (Kind.JMP, Cond.NE), "jge": (Kind.JMP, Cond.GE),
+    "jg": (Kind.JMP, Cond.G),
+    "call": (Kind.CALL, 0), "ret": (Kind.RET, 0),
+    "pushl": (Kind.PUSHL, 0), "popl": (Kind.POPL, 0),
+}
 
-# Register slots that must hold a real register (never NONE).
-_REAL_RA = frozenset((
-    Kind.RRMOVL, Kind.RMMOVL, Kind.MRMOVL, Kind.ALU, Kind.PUSHL, Kind.POPL,
-))
-_REAL_RB = frozenset((
-    Kind.RRMOVL, Kind.IRMOVL, Kind.RMMOVL, Kind.MRMOVL, Kind.ALU,
-))
+# Derived from the two tables above.
+_NAMES = {pair: name for name, pair in MNEMONICS.items()}
+_FNS = {pair: pair[1] for pair in MNEMONICS.values()}
+_REAL_RA = frozenset(k for k, slots in OPERANDS.items() if "ra" in slots)
+_REAL_RB = frozenset(k for k, slots in OPERANDS.items()
+                     if "rb" in slots or "mem" in slots)
+_HAS_REGBYTE = _REAL_RA | _REAL_RB
+_HAS_VALUE = frozenset(k for k, slots in OPERANDS.items()
+                       if {"imm", "dest", "mem"} & set(slots))
+_LENGTHS = {k: 1 + (k in _HAS_REGBYTE) + 4 * (k in _HAS_VALUE)
+            for k in OPERANDS}
 
 
 def encoded_length(kind: Kind) -> int:
@@ -144,81 +173,56 @@ class Instruction:
     value: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", Kind(self.kind))
-        object.__setattr__(self, "ra", Register(self.ra))
-        object.__setattr__(self, "rb", Register(self.rb))
-        k = self.kind
-        if k in (Kind.RRMOVL, Kind.JMP):
-            object.__setattr__(self, "fn", Cond(self.fn))
-        elif k is Kind.ALU:
-            object.__setattr__(self, "fn", AluFn(self.fn))
-        elif self.fn != 0:
-            raise ValueError(f"{k.name} takes no function nibble")
-        if (k in _REAL_RA) == (self.ra is Register.NONE):
+        k = Kind(self.kind)
+        fn = _FNS.get((k, self.fn))
+        if fn is None:
+            raise ValueError(f"undefined function {self.fn!r} for {k.name}")
+        ra, rb = Register(self.ra), Register(self.rb)
+        if (k in _REAL_RA) == (ra is Register.NONE):
             raise ValueError(f"bad rA operand for {k.name}")
-        if (k in _REAL_RB) == (self.rb is Register.NONE):
+        if (k in _REAL_RB) == (rb is Register.NONE):
             raise ValueError(f"bad rB operand for {k.name}")
         if k in _HAS_VALUE:
             if not 0 <= self.value <= MASK32:
                 raise ValueError("constant does not fit in 32 bits")
         elif self.value != 0:
             raise ValueError(f"{k.name} takes no constant")
+        object.__setattr__(self, "kind", k)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "ra", ra)
+        object.__setattr__(self, "rb", rb)
 
 
 def decode(image, offset: int = 0) -> tuple[Instruction, int]:
     """Decode the instruction starting at `offset` in a byte sequence.
 
     Returns (instruction, encoded length).  Raises InvalidInstruction for
-    undefined opcode/function pairs, illegal register nibbles, or an image
-    that ends mid-instruction.
+    an undefined opcode, for fields that `Instruction` rejects (function
+    nibble, register nibbles), or for an image that ends mid-instruction.
     """
     n = len(image)
     if not 0 <= offset < n:
         raise InvalidInstruction(f"offset {offset} outside image of {n} bytes")
     b0 = image[offset]
-    icode, ifun = b0 >> 4, b0 & 0x0F
-    try:
-        kind = Kind(icode)
-    except ValueError:
-        raise InvalidInstruction(f"undefined opcode byte {b0:#04x}") from None
-    if kind in (Kind.RRMOVL, Kind.JMP):
-        if ifun > 6:
-            raise InvalidInstruction(f"undefined condition {ifun:#x} in {b0:#04x}")
-    elif kind is Kind.ALU:
-        if ifun > 3:
-            raise InvalidInstruction(f"undefined ALU function {ifun:#x} in {b0:#04x}")
-    elif ifun != 0:
-        raise InvalidInstruction(f"nonzero function nibble in {b0:#04x}")
-
-    length = _LENGTHS[kind]
+    kind = b0 >> 4
+    length = _LENGTHS.get(kind)
+    if length is None:
+        raise InvalidInstruction(f"undefined opcode byte {b0:#04x}")
     if offset + length > n:
         raise InvalidInstruction(f"image ends mid-instruction at offset {offset}")
-
-    pos = offset + 1
     ra = rb = Register.NONE
-    if kind in _HAS_REGBYTE:
-        rbyte = image[pos]
-        pos += 1
-        ra_n, rb_n = rbyte >> 4, rbyte & 0x0F
-        if kind in _REAL_RA:
-            if ra_n > 7:
-                raise InvalidInstruction(f"rA={ra_n:#x} is not a register")
-            ra = Register(ra_n)
-        elif ra_n != 0xF:
-            raise InvalidInstruction(f"rA must be 0xF for {kind.name}")
-        if kind in _REAL_RB:
-            if rb_n > 7:
-                raise InvalidInstruction(f"rB={rb_n:#x} is not a register")
-            rb = Register(rb_n)
-        elif rb_n != 0xF:
-            raise InvalidInstruction(f"rB must be 0xF for {kind.name}")
-
     value = 0
+    pos = offset + 1
+    if kind in _HAS_REGBYTE:
+        ra, rb = image[pos] >> 4, image[pos] & 0x0F
+        pos += 1
     if kind in _HAS_VALUE:
         value = (image[pos] | image[pos + 1] << 8
                  | image[pos + 2] << 16 | image[pos + 3] << 24)
-
-    return Instruction(kind, fn=ifun, ra=ra, rb=rb, value=value), length
+    try:
+        return Instruction(kind, b0 & 0x0F, ra, rb, value), length
+    except ValueError as exc:
+        raise InvalidInstruction(f"{exc} (opcode byte {b0:#04x})") from None
 
 
 def encode(instr: Instruction) -> bytes:
@@ -276,36 +280,17 @@ def alu_bits(fn: int, a: int, b: int) -> tuple[int, int, int, int]:
     return r, 1 if r == 0 else 0, r >> 31, of
 
 
-_RR_NAMES = ("rrmovl", "cmovle", "cmovl", "cmove", "cmovne", "cmovge", "cmovg")
-_JMP_NAMES = ("jmp", "jle", "jl", "je", "jne", "jge", "jg")
-_ALU_NAMES = ("addl", "subl", "andl", "xorl")
+_SLOT_TEXT = {
+    "ra": lambda i: f"%{REGISTER_NAMES[i.ra]}",
+    "rb": lambda i: f"%{REGISTER_NAMES[i.rb]}",
+    "imm": lambda i: f"${i.value:#x}",
+    "dest": lambda i: f"{i.value:#x}",
+    "mem": lambda i: f"{i.value:#x}(%{REGISTER_NAMES[i.rb]})",
+}
 
 
 def format_instruction(instr: Instruction) -> str:
     """Render an instruction in assembler surface syntax (hex operands)."""
-    k = instr.kind
-    if k is Kind.HALT:
-        return "halt"
-    if k is Kind.NOP:
-        return "nop"
-    if k is Kind.RET:
-        return "ret"
-    ra = REGISTER_NAMES[instr.ra] if instr.ra is not Register.NONE else ""
-    rb = REGISTER_NAMES[instr.rb] if instr.rb is not Register.NONE else ""
-    if k is Kind.RRMOVL:
-        return f"{_RR_NAMES[instr.fn]} %{ra}, %{rb}"
-    if k is Kind.IRMOVL:
-        return f"irmovl ${instr.value:#x}, %{rb}"
-    if k is Kind.RMMOVL:
-        return f"rmmovl %{ra}, {instr.value:#x}(%{rb})"
-    if k is Kind.MRMOVL:
-        return f"mrmovl {instr.value:#x}(%{rb}), %{ra}"
-    if k is Kind.ALU:
-        return f"{_ALU_NAMES[instr.fn]} %{ra}, %{rb}"
-    if k is Kind.JMP:
-        return f"{_JMP_NAMES[instr.fn]} {instr.value:#x}"
-    if k is Kind.CALL:
-        return f"call {instr.value:#x}"
-    if k is Kind.PUSHL:
-        return f"pushl %{ra}"
-    return f"popl %{ra}"
+    name = _NAMES[instr.kind, instr.fn]
+    operands = ", ".join(_SLOT_TEXT[slot](instr) for slot in OPERANDS[instr.kind])
+    return f"{name} {operands}" if operands else name

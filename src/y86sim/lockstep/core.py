@@ -27,7 +27,6 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Literal
 
 from ..errors import (
@@ -320,9 +319,6 @@ class ObligationReport:
         """The records of `to_records`, one JSON line each."""
         return "".join(json.dumps(record, sort_keys=True) + "\n"
                        for record in self.to_records())
-
-    def write_records(self, path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
 
 def _evaluate_case(spec, export, concrete, abstract, args):

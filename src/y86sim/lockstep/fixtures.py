@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import InjectedFault
-from ..isa import MASK32, AluFn, Cond, Flags, Instruction, Kind, Status, encode
+from ..isa import (
+    MASK32, MNEMONICS, OPERANDS, Flags, Instruction, Register, Status, encode,
+)
 from ..machine import Machine, memory_mismatch, state_mismatch
 from ..mem_paged import MEM_SIZE, PagedMemory
 from ..mem_sparse import SparseMemory
@@ -499,30 +501,25 @@ def y86_spec() -> LockstepSpec:
     )
 
 
+# Kinds in opcode order; each kind's function nibbles in nibble order.
+_KINDS = tuple(OPERANDS)
+_KIND_FNS = {kind: [fn for k, fn in MNEMONICS.values() if k is kind]
+             for kind in _KINDS}
+
+
 def _random_instruction(rng: random.Random, value_dist) -> Instruction:
-    kind = rng.choice((
-        Kind.HALT, Kind.NOP, Kind.RRMOVL, Kind.IRMOVL, Kind.RMMOVL,
-        Kind.MRMOVL, Kind.ALU, Kind.JMP, Kind.CALL, Kind.RET,
-        Kind.PUSHL, Kind.POPL,
-    ))
+    kind = rng.choice(_KINDS)
     ra = rng.randrange(8)
     rb = rng.randrange(8)
     value = value_dist(rng) if rng.random() < 0.8 else rng.getrandbits(13)
-    if kind in (Kind.HALT, Kind.NOP, Kind.RET):
-        return Instruction(kind)
-    if kind is Kind.RRMOVL:
-        return Instruction(kind, fn=Cond(rng.randrange(7)), ra=ra, rb=rb)
-    if kind is Kind.ALU:
-        return Instruction(kind, fn=AluFn(rng.randrange(4)), ra=ra, rb=rb)
-    if kind is Kind.IRMOVL:
-        return Instruction(kind, rb=rb, value=value)
-    if kind in (Kind.RMMOVL, Kind.MRMOVL):
-        return Instruction(kind, ra=ra, rb=rb, value=value)
-    if kind is Kind.JMP:
-        return Instruction(kind, fn=Cond(rng.randrange(7)), value=value)
-    if kind is Kind.CALL:
-        return Instruction(kind, value=value)
-    return Instruction(kind, ra=ra)
+    fns = _KIND_FNS[kind]
+    fn = rng.choice(fns) if len(fns) > 1 else 0
+    slots = set(OPERANDS[kind])
+    return Instruction(
+        kind, fn,
+        ra=ra if "ra" in slots else Register.NONE,
+        rb=rb if slots & {"rb", "mem"} else Register.NONE,
+        value=value if slots & {"imm", "dest", "mem"} else 0)
 
 
 class Y86Cases(CaseSource):

@@ -10,12 +10,12 @@ blocks return 0 and never allocate.
 from __future__ import annotations
 
 from .errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
+from .isa import MEM_SIZE
 
 __all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "PagedMemory"]
 
 TABLE_SIZE = 256
 PAGE_SIZE = 1 << 24
-MEM_SIZE = 1 << 32
 # 1 can never be a block base (bases are multiples of PAGE_SIZE).
 SENTINEL = 1
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import AddressOutOfRange, ValueOutOfRange
+from .isa import MEM_SIZE
 
 __all__ = ["MEM_SIZE", "SparseMemory"]
-
-MEM_SIZE = 1 << 32
 
 
 class SparseMemory:

@@ -142,6 +142,28 @@ def test_decode_truncated_image(raw):
         decode(raw)
 
 
+def test_decode_raises_only_invalid_instruction():
+    # Every first byte x register byte, zero-padded to 6 bytes, and every
+    # first byte with a few register bytes cut to 1..5 bytes: decode either
+    # rejects the window with InvalidInstruction or returns an instruction
+    # that encodes back to the window's prefix.  Any other exception fails.
+    windows = [bytes([b0, b1, 0, 0, 0, 0])
+               for b0 in range(256) for b1 in range(256)]
+    windows += [bytes([b0, b1, 0x12, 0x34, 0x56, 0x78])[:cut]
+                for b0 in range(256)
+                for b1 in (0x00, 0x0F, 0xF0, 0xFF, 0x12, 0x8F)
+                for cut in range(1, 6)]
+    decoded = 0
+    for raw in windows:
+        try:
+            instr, length = decode(raw)
+        except InvalidInstruction:
+            continue
+        assert encode(instr) == raw[:length], raw.hex()
+        decoded += 1
+    assert decoded > 0
+
+
 def test_instruction_invariants_rejected():
     with pytest.raises(ValueError):
         Instruction(Kind.IRMOVL, rb=Register.NONE, value=3)
@@ -274,3 +296,21 @@ def test_format_instruction_examples():
     assert text == "rmmovl %eax, 0x8(%ebx)"
     assert format_instruction(
         Instruction(Kind.JMP, fn=Cond.NE, value=0x50)) == "jne 0x50"
+    assert format_instruction(Instruction(
+        Kind.RRMOVL, fn=Cond.GE, ra=Register.ECX, rb=Register.EDX)) == "cmovge %ecx, %edx"
+    assert format_instruction(Instruction(
+        Kind.RRMOVL, ra=Register.ESP, rb=Register.EBP)) == "rrmovl %esp, %ebp"
+    assert format_instruction(Instruction(
+        Kind.MRMOVL, ra=Register.ESI, rb=Register.EBP, value=0x10)) == "mrmovl 0x10(%ebp), %esi"
+    assert format_instruction(Instruction(
+        Kind.ALU, fn=AluFn.XOR, ra=Register.EAX, rb=Register.EDI)) == "xorl %eax, %edi"
+    assert format_instruction(
+        Instruction(Kind.JMP, fn=Cond.ALWAYS, value=0)) == "jmp 0x0"
+    assert format_instruction(
+        Instruction(Kind.JMP, fn=Cond.LE, value=0x1234)) == "jle 0x1234"
+    assert format_instruction(
+        Instruction(Kind.CALL, value=0xFFFFFFFF)) == "call 0xffffffff"
+    assert format_instruction(Instruction(Kind.PUSHL, ra=Register.EBP)) == "pushl %ebp"
+    assert format_instruction(Instruction(Kind.POPL, ra=Register.EDI)) == "popl %edi"
+    assert format_instruction(Instruction(Kind.NOP)) == "nop"
+    assert format_instruction(Instruction(Kind.RET)) == "ret"

@@ -375,15 +375,13 @@ def test_shrinking_minimizes_counterexample():
     assert "(0, 0)" in shrunk
 
 
-def test_report_determinism_and_serialization(tmp_path):
+def test_report_determinism_and_serialization():
     spec = demo_spec()
     a = check_obligations(spec, DemoCases(spec), n_cases=300, seed=5)
     b = check_obligations(demo_spec(), DemoCases(demo_spec()), n_cases=300, seed=5)
     assert a.to_text() == b.to_text()
 
-    path = tmp_path / "report.jsonl"
-    a.write_records(path)
-    lines = path.read_text().splitlines()
+    lines = a.to_jsonl().splitlines()
     assert len(lines) == len(a.outcomes)
     import json
     record = json.loads(lines[0])
