@@ -213,10 +213,15 @@ def _resolve(value: int | str, symbols: dict[str, int], lineno: int) -> int:
     if isinstance(value, int):
         return value
     try:
-        return symbols[value]
+        addr = symbols[value]
     except KeyError:
         raise UnresolvedLabel(
             f"line {lineno}: undefined label {value!r}") from None
+    if addr > MASK32:
+        raise AddressOverflow(
+            f"line {lineno}: label {value!r} is at {addr:#x}, past the "
+            f"32-bit space")
+    return addr
 
 
 def _build(instr: SourceInstr, symbols: dict[str, int]) -> Instruction:
@@ -241,7 +246,8 @@ def assemble(program: Program) -> tuple["Image", dict[str, int]]:
     """Two passes: bind labels to addresses, then encode with them resolved.
 
     Raises UnresolvedLabel, BackwardPos (position or emission into already
-    emitted bytes), or AddressOverflow past the 32-bit space.
+    emitted bytes), or AddressOverflow (code past the 32-bit space, or a
+    label bound at its end used as a constant).
     """
     symbols: dict[str, int] = {}
     spans: list[tuple[int, int]] = []

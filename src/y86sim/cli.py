@@ -20,6 +20,7 @@ from pathlib import Path
 from . import asm
 from .errors import (
     AtomicityViolation,
+    CorrespondenceFailure,
     InjectedFault,
     PoisonedState,
     Y86Error,
@@ -128,8 +129,13 @@ def cmd_run(image_path: str, backend: str, steps: int, entry: str | None,
     if backend == "lockstep":
         machine = Machine(PagedMemory(), eip=eip, esp=esp, image=image)
         abstract = Machine(SparseMemory(), eip=eip, esp=esp, image=image)
-        report = run_in_lockstep(machine, abstract, steps, seed=seed,
-                                 trace=trace)
+        try:
+            report = run_in_lockstep(machine, abstract, steps, seed=seed,
+                                     trace=trace)
+        except CorrespondenceFailure as exc:
+            # A divergence is a result of the run, like not halting.
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         _print_final(machine, report.steps)
         print(f"correspondence verified at {report.steps} steps, "
               f"{report.addresses_checked} addresses compared")

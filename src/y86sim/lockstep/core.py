@@ -5,11 +5,11 @@ one built for execution and an abstract one built for reasoning about,
 related by a correspondence predicate.  Every exported operation carries
 a logic function (abstract side) and an exec function (concrete side).
 
-DualState holds one pair of states and, in check mode, verifies on every
-invoke that readers agree across representations and that updates
-preserve both the correspondence and the abstract recognizer.  The three
-obligation families behind those checks can also be run wholesale as
-randomized property suites via check_obligations.
+Each obligation is stated once: `_check_invoke` checks the logic side of
+an invoke against its exec result, and `_check_created` checks a created
+pair.  DualState, in check mode, raises the first failure at creation
+and on every invoke; check_obligations records every failure over
+randomized cases drawn from a CaseSource pool.
 
 Exports whose concrete function performs more than one primitive update
 must be marked `protect`: the state is poisoned while such an export
@@ -95,12 +95,6 @@ class LockstepSpec:
                     f"{e.declared_updater_calls} primitive updates; "
                     f"multi-update exports must set protect")
 
-    def export(self, name: str) -> Export:
-        for e in self.exports:
-            if e.name == name:
-                return e
-        raise KeyError(f"{self.name!r} has no export {name!r}")
-
 
 def _update_count(concrete) -> int:
     return getattr(concrete, "update_count", 0)
@@ -136,14 +130,8 @@ class DualState:
         abstract = self.spec.creator_logic()
         concrete = self.spec.creator_exec()
         if self.mode == "check":
-            if not self.spec.corr(concrete, abstract):
-                raise CorrespondenceFailure(
-                    f"{self.spec.name}: creators do not produce "
-                    f"corresponding states")
-            if not self.spec.recognizer_logic(abstract):
-                raise PreservationFailure(
-                    f"{self.spec.name}: created abstract value fails "
-                    f"the recognizer")
+            _raise_first(self.spec.name,
+                         _check_created(self.spec, concrete, abstract))
         self.abstract = abstract
         self.concrete = concrete
 
@@ -202,48 +190,95 @@ class DualState:
                     f"export {name!r} performed {delta} primitive updates "
                     f"but is not marked protect")
 
-        if export.kind == "reader":
-            if self.mode == "check":
-                expected = export.logic_fn(self.abstract, *args)
-                if result != expected:
-                    raise CorrespondenceFailure(
-                        f"{name}: exec returned {result!r}, logic "
-                        f"{expected!r}")
-            return result
-
         if self.mode == "check":
-            new_abstract = export.logic_fn(self.abstract, *args)
-            if not self.spec.corr(concrete, new_abstract):
-                raise CorrespondenceFailure(
-                    f"{name}: updated states do not correspond")
-            if not self.spec.recognizer_logic(new_abstract):
-                raise PreservationFailure(
-                    f"{name}: recognizer rejects the updated abstract value")
+            new_abstract, failures = _check_invoke(
+                self.spec, export, concrete, self.abstract, args, result)
+            _raise_first(name, failures)
             self.abstract = new_abstract
-        return None
+        return result if export.kind == "reader" else None
+
+
+def _check_invoke(spec, export, concrete, abstract, args, result):
+    """Check the logic side of one invoke against its exec `result`.
+
+    Returns (new abstract value, [(family, message)]), family "corr" or
+    "pres": a reader's logic value must equal `result`; an updater's must
+    correspond to `concrete`, then satisfy the recognizer.  An exception
+    from the logic side propagates.
+    """
+    logic_result = export.logic_fn(abstract, *args)
+    if export.kind == "reader":
+        if result != logic_result:
+            return abstract, [
+                ("corr", f"exec {result!r} != logic {logic_result!r}")]
+        return abstract, []
+    failures = []
+    if not spec.corr(concrete, logic_result):
+        failures.append(("corr", "updated states do not correspond"))
+    if not spec.recognizer_logic(logic_result):
+        failures.append(("pres", "recognizer rejects updated abstract value"))
+    return logic_result, failures
+
+
+def _check_created(spec, concrete, abstract):
+    """The creator obligations over a new pair, as [(family, message)]."""
+    failures = []
+    if not spec.corr(concrete, abstract):
+        failures.append(
+            ("corr", "creators do not produce corresponding states"))
+    if not spec.recognizer_logic(abstract):
+        failures.append(
+            ("pres", "created abstract value fails the recognizer"))
+    return failures
+
+
+def _raise_first(where: str, failures) -> None:
+    if failures:
+        family, message = failures[0]
+        error = (PreservationFailure if family == "pres"
+                 else CorrespondenceFailure)
+        raise error(f"{where}: {message}")
 
 
 # ---------------------------------------------------------------------------
 # obligation suites
 
 class CaseSource:
-    """Produces guard-satisfying (concrete, abstract, args) cases.
+    """Draws guard-satisfying (concrete, abstract, args) cases from a pool
+    of one corresponding pair.
 
-    A source may evolve a shared pool of corresponding states: the harness
-    hands back each updater's new abstract value via `advance` and flags
-    failed cases via `mark_failure` so a corrupted pool can be rebuilt.
+    A subclass sets `RESET_EVERY` and defines `_fresh()`, a new [concrete,
+    abstract] list; `_evolve(concrete, abstract, rng)`, one update of the
+    pair that returns its next abstract value; and `_args_for(export_name,
+    rng, abstract)`.  `draw` rebuilds the pair on the first draw, every
+    `RESET_EVERY` draws and after `mark_failure`, then evolves it zero to
+    two times.  `advance` takes a passing updater's new abstract value.
     `snapshot` returning independent copies enables counterexample
     shrinking; returning None disables it.
     """
 
+    RESET_EVERY: int
+
+    def __init__(self):
+        self._pair: list | None = None
+        self._drawn = 0
+
     def draw(self, export_name: str, rng: random.Random):
-        raise NotImplementedError
+        if self._pair is None or self._drawn % self.RESET_EVERY == 0:
+            self._pair = self._fresh()
+        self._drawn += 1
+        concrete, abstract = self._pair
+        for _ in range(rng.randrange(3)):
+            abstract = self._evolve(concrete, abstract, rng)
+        self._pair[1] = abstract
+        return concrete, abstract, self._args_for(export_name, rng, abstract)
 
     def advance(self, new_abstract) -> None:
-        pass
+        if self._pair is not None:
+            self._pair[1] = new_abstract
 
     def mark_failure(self) -> None:
-        pass
+        self._pair = None
 
     def snapshot(self, concrete, abstract):
         return None
@@ -322,39 +357,23 @@ class ObligationReport:
 
 
 def _evaluate_case(spec, export, concrete, abstract, args):
-    """Run one case; returns (new_abstract | None, [(family, message)]).
+    """Run one case; returns (new abstract value | None, [(family, message)]).
 
     family is one of "corr", "pres", "guard".  The guard obligation is
     checked before the exec function runs, so a failing precondition is
     reported rather than crashed on.
     """
-    failures = []
     if export.exec_guard is not None and not export.exec_guard(concrete, *args):
-        failures.append(("guard",
-                         f"abstract guard admits {args!r} but the exec "
-                         f"precondition rejects it"))
-        return None, failures
+        return None, [("guard", f"abstract guard admits {args!r} but the "
+                                f"exec precondition rejects it")]
     try:
         result = export.exec_fn(concrete, *args)
     except Exception as exc:  # exec must be total on guarded inputs
-        failures.append(("corr", f"exec raised {type(exc).__name__}: {exc}"))
-        return None, failures
+        return None, [("corr", f"exec raised {type(exc).__name__}: {exc}")]
     try:
-        logic_result = export.logic_fn(abstract, *args)
+        return _check_invoke(spec, export, concrete, abstract, args, result)
     except Exception as exc:
-        failures.append(("corr", f"logic raised {type(exc).__name__}: {exc}"))
-        return None, failures
-    if export.kind == "reader":
-        if result != logic_result:
-            failures.append(
-                ("corr", f"exec {result!r} != logic {logic_result!r}"))
-        return None, failures
-    new_abstract = logic_result
-    if not spec.corr(concrete, new_abstract):
-        failures.append(("corr", "updated states do not correspond"))
-    if not spec.recognizer_logic(new_abstract):
-        failures.append(("pres", "recognizer rejects updated abstract value"))
-    return new_abstract, failures
+        return None, [("corr", f"logic raised {type(exc).__name__}: {exc}")]
 
 
 # Candidate argument tuples one shrink may try.
@@ -420,19 +439,14 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
         raise ValueError("case count must be a natural number")
     outcomes: list[ObligationOutcome] = []
 
-    creator_corr = ObligationOutcome("create{CORRESPONDENCE}", 1)
-    creator_pres = ObligationOutcome("create{PRESERVED}", 1)
+    created = {"corr": ObligationOutcome("create{CORRESPONDENCE}", 1),
+               "pres": ObligationOutcome("create{PRESERVED}", 1)}
     abstract0 = spec.creator_logic()
     concrete0 = spec.creator_exec()
-    if not spec.corr(concrete0, abstract0):
-        creator_corr.failures.append(FailureRecord(
-            creator_corr.name, 0, seed, "()",
-            "creators do not produce corresponding states"))
-    if not spec.recognizer_logic(abstract0):
-        creator_pres.failures.append(FailureRecord(
-            creator_pres.name, 0, seed, "()",
-            "created abstract value fails the recognizer"))
-    outcomes += [creator_corr, creator_pres]
+    for family, message in _check_created(spec, concrete0, abstract0):
+        out = created[family]
+        out.failures.append(FailureRecord(out.name, 0, seed, "()", message))
+    outcomes += created.values()
 
     for export in spec.exports:
         corr_out = ObligationOutcome(f"{export.name}{{CORRESPONDENCE}}", n_cases)

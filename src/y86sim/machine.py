@@ -384,9 +384,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     checked = steps = 0
     allocated = -1
     blocks: list[int] = []
-    # Each machine records the addresses it writes in its own step set.
-    c_step = concrete._step_writes = set()
-    a_step = abstract._step_writes = set()
+    # Both machines record the addresses they write in one step set.
+    written = concrete._step_writes = abstract._step_writes = set()
     try:
         while steps < n and abstract.status is Status.AOK:
             recent.append(abstract.eip)
@@ -405,15 +404,13 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             probes = ([blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
                        for x in map(getrandbits, [32] * _PROBES_PER_STEP)]
                       if blocks else ())
-            written = c_step | a_step
             mismatch = (state_mismatch(concrete, abstract)
                         or memory_mismatch(concrete, abstract, written)
                         or memory_mismatch(concrete, abstract, probes))
             if mismatch is not None:
                 raise _divergence(f"at step {steps}", *mismatch, recent)
             checked += len(written) + len(probes)
-            c_step.clear()
-            a_step.clear()
+            written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
     swept = sorted(abstract.mem.touched())

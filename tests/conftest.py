@@ -9,6 +9,13 @@ def program_text(name: str) -> str:
     return resources.files("y86sim").joinpath("programs", name).read_text()
 
 
+@pytest.fixture(autouse=True)
+def no_seed_variable(monkeypatch):
+    """Tests that read Y86_LOCKSTEP_SEED set it themselves; one exported
+    in the calling shell must not reach the others."""
+    monkeypatch.delenv("Y86_LOCKSTEP_SEED", raising=False)
+
+
 @pytest.fixture(scope="session")
 def simple_assembled():
     return asm.assemble(asm.parse(program_text("simple.ys")))

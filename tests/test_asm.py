@@ -209,6 +209,17 @@ def test_address_overflow():
         asm.assemble(asm.parse(f".pos {2**32 - 3}\nirmovl $1, %eax\n"))
 
 
+def test_label_past_the_address_space_used_as_constant():
+    # jmp fills the last five bytes, so `end` is bound at 2**32.
+    source = ".pos 0xfffffffb\njmp end\nend:\n"
+    with pytest.raises(AddressOverflow) as info:
+        asm.assemble(asm.parse(source))
+    assert "line 2" in str(info.value) and "'end'" in str(info.value)
+    # The same label, bound but never used, is legal.
+    image, symbols = asm.assemble(asm.parse(".pos 0xfffffffb\njmp 0\nend:\n"))
+    assert symbols["end"] == 2**32 and len(image) == 5
+
+
 # ---------------------------------------------------------------------------
 # image format and loading
 

@@ -7,6 +7,7 @@ import pytest
 from y86sim.cli import bundled_program, main, verify_popcount
 from y86sim.lockstep import DemoCases, check_obligations, demo_spec
 from y86sim.machine import Machine
+from y86sim.mem_paged import PagedMemory
 
 
 @pytest.fixture()
@@ -30,6 +31,14 @@ def test_asm_bad_source(tmp_path, capsys):
     bad.write_text("bogus operand\n")
     assert main(["asm", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_asm_label_past_the_address_space_is_one_line(tmp_path, capsys):
+    bad = tmp_path / "end.ys"
+    bad.write_text(".pos 0xfffffffb\njmp end\nend:\n")
+    assert main(["asm", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 2" in err and "'end'" in err
 
 
 def test_asm_empty_source(tmp_path):
@@ -89,6 +98,30 @@ def test_run_lockstep_trace_runs_the_program_once(tmp_path, capsys,
     assert [line for line in out.splitlines()
             if line.startswith("step=")] == sparse_lines
     assert len(sparse_lines) == 22
+
+
+def test_run_lockstep_divergence_is_one_error_line(tmp_path, capsys,
+                                                   monkeypatch):
+    source = tmp_path / "stress.ys"
+    source.write_text(bundled_program("stress.ys"))
+    image = tmp_path / "stress.yim"
+    assert main(["asm", str(source), "-o", str(image)]) == 0
+    capsys.readouterr()
+    writes = 0
+    write = PagedMemory.write
+
+    def flip_bit_after_load(self, addr, value):
+        # The first 127 writes load the image; every later one is flipped.
+        nonlocal writes
+        writes += 1
+        return write(self, addr, value ^ 1 if writes > 127 else value)
+
+    monkeypatch.setattr(PagedMemory, "write", flip_bit_after_load)
+    assert main(["run", str(image), "--backend", "lockstep"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: lockstep diverged at step 3: memory at "
+                          "0x1000010 is 0xee concrete vs 0xef abstract; ")
 
 
 def test_run_trace(simple_yim, capsys):

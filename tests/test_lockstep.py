@@ -11,6 +11,7 @@ from y86sim.errors import (
     GuardViolation,
     InjectedFault,
     PoisonedState,
+    PreservationFailure,
 )
 from y86sim.lockstep import (
     DemoCases,
@@ -301,6 +302,9 @@ def test_y86_malformed_memory_is_caught_by_preservation_alone():
     report = check_obligations(variant, Y86Cases(), n_cases=40, seed=5)
     assert report.outcome("!memi{PRESERVED}").failures
     assert not report.outcome("!memi{CORRESPONDENCE}").failures
+    # DualState checks correspondence first, then the recognizer.
+    with pytest.raises(PreservationFailure):
+        DualState(variant).invoke("!memi", 0x10, 5)
 
 
 def test_dual_invariant_over_random_sequences():
