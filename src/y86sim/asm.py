@@ -3,7 +3,8 @@
 Source grammar (one item per line, `#` starts a comment):
 
     label:                      bind a label to the location counter
-    .pos N                      set the location counter
+    .pos N                      set the location counter; N may not be
+                                below the end of the bytes emitted so far
     .byte N                     emit one literal byte
     irmovl $imm, %reg           plus: rrmovl/cmovXX, rmmovl, mrmovl,
     mrmovl D(%rB), %rA          addl/subl/andl/xorl, jmp/jXX, call, ret,
@@ -238,61 +239,40 @@ def _build(instr: SourceInstr, symbols: dict[str, int]) -> Instruction:
     return Instruction(kind, fn, **fields)
 
 
-def _overlaps(spans, lo, hi):
-    return any(s < hi and lo < e for s, e in spans)
-
-
 def assemble(program: Program) -> tuple["Image", dict[str, int]]:
-    """Two passes: bind labels to addresses, then encode with them resolved.
+    """Two passes: place every item and bind labels, then encode.
 
-    Raises UnresolvedLabel, BackwardPos (position or emission into already
-    emitted bytes), or AddressOverflow (code past the 32-bit space, or a
-    label bound at its end used as a constant).
+    A `.pos` may not go below the end of the bytes emitted so far, but it
+    may move back into a gap above them.  Raises UnresolvedLabel,
+    BackwardPos (a `.pos` below that end), or AddressOverflow (code past
+    the 32-bit space, or a label bound at its end used as a constant).
     """
     symbols: dict[str, int] = {}
-    spans: list[tuple[int, int]] = []
-    lc = 0
-    run_start: int | None = None
+    placed: list[tuple[int, SourceInstr]] = []
+    lc = high = 0  # location counter; end of the bytes emitted so far
     for item in program.items:
         if isinstance(item, Label):
             symbols[item.name] = lc
         elif isinstance(item, Pos):
-            if run_start is not None:
-                spans.append((run_start, lc))
-                run_start = None
-            if item.addr < lc and _overlaps(spans, item.addr, lc):
+            if item.addr < high:
                 raise BackwardPos(
                     f"line {item.line}: .pos {item.addr:#x} moves back over "
                     f"emitted bytes")
             lc = item.addr
         else:
-            if run_start is None:
-                run_start = lc
+            placed.append((lc, item))
             lc += _size_of(item)
             if lc > MEM_SIZE:
                 raise AddressOverflow(
                     f"line {item.line}: code runs past the 32-bit space")
-    if run_start is not None:
-        spans.append((run_start, lc))
-    ordered = sorted(spans)
-    for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
-        if next_start < prev_end:
-            raise BackwardPos("emitted regions overlap")
+            high = lc
 
     emitted: dict[int, int] = {}
-    lc = 0
-    for item in program.items:
-        if isinstance(item, Pos):
-            lc = item.addr
-        elif isinstance(item, SourceInstr):
-            if item.mnemonic == ".byte":
-                emitted[lc] = item.operands[0]
-                lc += 1
-            else:
-                raw = encode(_build(item, symbols))
-                for k, byte in enumerate(raw):
-                    emitted[lc + k] = byte
-                lc += len(raw)
+    for addr, item in placed:
+        raw = (item.operands if item.mnemonic == ".byte"  # its one byte
+               else encode(_build(item, symbols)))
+        for k, byte in enumerate(raw):
+            emitted[addr + k] = byte
     return Image(emitted.items()), symbols
 
 

@@ -7,7 +7,7 @@ equality: two memories reading the same everywhere are equal as values.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .errors import AddressOutOfRange, ValueOutOfRange
 from .isa import MEM_SIZE
@@ -20,18 +20,15 @@ class SparseMemory:
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+    def __init__(self, entries: Mapping[int, int] = {}):
         store: dict[int, int] = {}
-        for addr, value in items:
+        for addr, value in entries.items():
             if not 0 <= addr < MEM_SIZE:
                 raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
             if not 0 <= value <= 0xFF:
                 raise ValueOutOfRange(f"value {value} not a byte")
             if value:
                 store[addr] = value
-            else:
-                store.pop(addr, None)
         self._entries = store
 
     @classmethod

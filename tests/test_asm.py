@@ -196,6 +196,14 @@ def test_backward_pos_over_emitted_bytes():
     # Backwards over empty space is allowed.
     image, _ = asm.assemble(asm.parse(".pos 100\na:\n.pos 50\nhalt\n"))
     assert list(image) == [(50, 0x00)]
+    # So is moving back into a gap above the emitted bytes ...
+    image, _ = asm.assemble(asm.parse(
+        ".pos 100\nnop\n.pos 300\n.pos 150\nnop\n"))
+    assert list(image) == [(100, 0x10), (150, 0x10)]
+    # ... but not below their end, even with nothing emitted since.
+    with pytest.raises(BackwardPos) as info:
+        asm.assemble(asm.parse(".pos 100\nnop\n.pos 300\nnop\n.pos 200\n"))
+    assert str(info.value) == "line 5: .pos 0xc8 moves back over emitted bytes"
 
 
 def test_overlapping_emission_detected():

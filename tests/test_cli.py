@@ -5,6 +5,7 @@ import json
 import pytest
 
 from y86sim.cli import bundled_program, main, verify_popcount
+from y86sim.isa import AluFn, alu_bits
 from y86sim.lockstep import DemoCases, check_obligations, demo_spec
 from y86sim.machine import Machine
 from y86sim.mem_paged import PagedMemory
@@ -137,6 +138,20 @@ def test_run_numeric_entry(simple_yim, capsys):
     assert "steps=1" in capsys.readouterr().out
 
 
+def test_run_entry_label(simple_yim, capsys):
+    assert main(["run", str(simple_yim), "--entry", "halt-of-main"]) == 0
+    assert "status=HLT steps=1 eip=0x56" in capsys.readouterr().out
+
+
+def test_run_without_main_starts_at_lowest_address(tmp_path, capsys):
+    source = tmp_path / "nomain.ys"
+    source.write_text(".pos 0x40\nirmovl $5, %eax\nhalt\n")
+    assert main(["asm", str(source)]) == 0
+    assert main(["run", str(tmp_path / "nomain.yim")]) == 0
+    out = capsys.readouterr().out
+    assert "status=HLT steps=2 eip=0x46" in out and "eax=0x5" in out
+
+
 def test_run_unknown_entry(simple_yim, capsys):
     assert main(["run", str(simple_yim), "--entry", "nowhere"]) == 1
     assert "nowhere" in capsys.readouterr().err
@@ -256,6 +271,17 @@ def test_verify_popcount_counts():
     cases, mismatches = verify_popcount(width=4, samples=5, seed=1)
     assert cases == 16 + 5
     assert mismatches == 0
+
+
+def test_popcount_verification_can_fail(monkeypatch, capsys):
+    def add_off_by_one(fn, a, b):
+        r, zf, sf, of = alu_bits(fn, a, b)
+        return (r + 1 if fn == AluFn.ADD else r), zf, sf, of
+
+    monkeypatch.setattr("y86sim.machine.alu_bits", add_off_by_one)
+    assert verify_popcount(4, 0, 0) == (16, 16)
+    assert main(["popcount", "--width", "4", "--samples", "0"]) == 1
+    assert "16 mismatches" in capsys.readouterr().out
 
 
 def test_bench_command_is_gone():

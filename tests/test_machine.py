@@ -11,7 +11,7 @@ from y86sim.isa import (
     Flags,
     Status,
 )
-from y86sim.machine import ESP, Machine, run_in_lockstep
+from y86sim.machine import ESP, Machine, run_in_lockstep, state_mismatch
 from y86sim.mem_paged import PAGE_SIZE, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
@@ -492,6 +492,26 @@ def test_lockstep_mismatch_names_register():
     with pytest.raises(CorrespondenceFailure) as info:
         run_in_lockstep(concrete, abstract, 100)
     assert "at step 1: %edx is 0x7 concrete vs 0x0 abstract" in str(info.value)
+
+
+@pytest.mark.parametrize("attr, value, report", [
+    ("eip", 4, ("eip", "0x4", "0x0")),
+    ("zf", 1, ("flags", "100", "000")),
+    ("status", Status.HLT, ("status", "HLT", "AOK")),
+])
+def test_state_mismatch_names_each_non_register_field(attr, value, report):
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    assert state_mismatch(concrete, abstract) is None
+    setattr(concrete, attr, value)
+    assert state_mismatch(concrete, abstract) == report
+
+
+def test_lockstep_rejects_wrong_backends():
+    concrete, abstract = lockstep_pair(STORE_LOOP)
+    with pytest.raises(TypeError, match="abstract machine"):
+        run_in_lockstep(abstract, concrete, 10)
+    with pytest.raises(TypeError, match="concrete machine"):
+        run_in_lockstep(abstract, abstract.copy(), 10)
 
 
 def test_lockstep_clears_step_write_sets_when_it_fails():
