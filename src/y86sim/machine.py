@@ -2,8 +2,15 @@
 
 The memory backend is anything with `read(addr) -> byte` and
 `write(addr, byte) -> memory`; the paged backend mutates and returns
-itself, the sparse backend returns a new value.  A machine is
-single-writer; distinct machines may run on distinct threads.
+itself, the sparse backend returns a new value.  A backend whose `write`
+can return a new value also provides `_store(addr, byte)`, which updates
+that value in place.  A machine whose own `write` returned a new memory
+owns it: no other reference can observe it, so later stores go through
+`_store` and cost O(1), as a single-threaded stobj is updated
+destructively.  Ownership ends whenever the memory is handed out, through
+`mem`, `copy` or `reload`, so every memory a caller can reach stays
+unchanged.  A machine is single-writer; distinct machines may run on
+distinct threads.
 
 Decoded instructions are cached by address, together with the bytes
 they were decoded from.  A byte write into a cached span drops the cache,
@@ -42,7 +49,7 @@ class Machine:
     """Registers, instruction pointer, flags, status, and a memory backend."""
 
     __slots__ = (
-        "regs", "eip", "zf", "sf", "of", "status", "mem",
+        "regs", "eip", "zf", "sf", "of", "status", "_mem", "_owns_mem",
         "_updates", "icache_clears",
         "_icache", "_icache_bytes", "_step_writes",
     )
@@ -67,6 +74,18 @@ class Machine:
     # -- observers ---------------------------------------------------------
 
     @property
+    def mem(self):
+        """The memory backend.  Reading it hands the memory out, so the
+        machine's next store no longer writes into it in place."""
+        self._owns_mem = False
+        return self._mem
+
+    @mem.setter
+    def mem(self, mem) -> None:
+        self._mem = mem
+        self._owns_mem = False
+
+    @property
     def flags(self) -> Flags:
         return Flags(self.zf, self.sf, self.of)
 
@@ -79,7 +98,7 @@ class Machine:
         `protect`ed exports, so the atomicity protocol never reads a
         delta across them.
         """
-        return self._updates + getattr(self.mem, "update_count", 0)
+        return self._updates + getattr(self._mem, "update_count", 0)
 
     # -- counted single-field updaters --------------------------------------
 
@@ -108,7 +127,7 @@ class Machine:
     # -- memory access -------------------------------------------------------
 
     def read_byte(self, addr: int) -> int:
-        return self.mem.read(addr & MASK32)
+        return self._mem.read(addr & MASK32)
 
     def write_byte(self, addr: int, value: int) -> None:
         addr &= MASK32
@@ -118,10 +137,17 @@ class Machine:
             self.icache_clears += 1
         if self._step_writes is not None:
             self._step_writes.add(addr)
-        self.mem = self.mem.write(addr, value)
+        if self._owns_mem:
+            self._mem._store(addr, value)
+        else:
+            mem = self._mem
+            new = mem.write(addr, value)
+            if new is not mem:   # a new value nothing else can reach
+                self._mem = new
+                self._owns_mem = True
 
     def read_word(self, addr: int) -> int:
-        rd = self.mem.read
+        rd = self._mem.read
         return (rd(addr & MASK32)
                 | rd((addr + 1) & MASK32) << 8
                 | rd((addr + 2) & MASK32) << 16
@@ -149,7 +175,7 @@ class Machine:
         self._exec(entry[0], entry[1])
 
     def _fetch_decode(self, eip):
-        rd = self.mem.read
+        rd = self._mem.read
         window = bytes(rd((eip + k) & MASK32) for k in range(6))
         try:
             instr, length = decode(window, 0)
@@ -252,13 +278,18 @@ class Machine:
     # -- lifecycle -----------------------------------------------------------
 
     def copy(self) -> "Machine":
-        """Independent machine with equal state (sparse memory is shared)."""
+        """Independent machine with equal state.
+
+        A sparse memory is shared, so neither machine owns it afterwards:
+        the next store on either side writes a new memory.
+        """
         new = object.__new__(Machine)
         new.regs = list(self.regs)
         new.eip = self.eip
         new.zf, new.sf, new.of = self.zf, self.sf, self.of
         new.status = self.status
-        new.mem = self.mem.copy()
+        new._mem = self._mem.copy()
+        new._owns_mem = self._owns_mem = False
         new._updates = self._updates
         new.icache_clears = self.icache_clears
         new._icache = dict(self._icache)
@@ -287,7 +318,8 @@ class Machine:
             self._icache.clear()
             spans.clear()
             self.icache_clears += 1
-        self.mem = mem
+        self._mem = mem
+        self._owns_mem = False
         self.regs[:] = [0] * 8
         if esp is not None:
             self.regs[ESP] = esp
@@ -297,7 +329,7 @@ class Machine:
 
     def __repr__(self) -> str:
         return (f"Machine(eip={self.eip:#x}, status={self.status.value}, "
-                f"mem={self.mem!r})")
+                f"mem={self._mem!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +375,7 @@ def memory_mismatch(concrete: Machine, abstract: Machine, addrs):
     in the shape of `state_mismatch`, or None when the memories agree at
     every address.
     """
-    cread, aread = concrete.mem.read, abstract.mem.read
+    cread, aread = concrete._mem.read, abstract._mem.read
     for addr in addrs:
         if cread(addr) != aread(addr):
             return (f"memory at {addr:#x}", f"{cread(addr):#04x}",
@@ -375,9 +407,9 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     """
     if n < 0:
         raise ValueError("step budget must be a natural number")
-    if not hasattr(abstract.mem, "touched"):
+    if not hasattr(abstract._mem, "touched"):
         raise TypeError("abstract machine must use a sparse memory backend")
-    if not hasattr(concrete.mem, "table"):
+    if not hasattr(concrete._mem, "table"):
         raise TypeError("concrete machine must use a paged memory backend")
     getrandbits = random.Random(seed).getrandbits
     recent = deque(maxlen=_RECENT_STEPS)
@@ -395,7 +427,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
                 abstract.step()
             else:
                 trace(abstract.traced_step(steps))
-            mem = concrete.mem
+            mem = concrete._mem
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
                 blocks = [top << 24 for top, base in enumerate(mem.table)
@@ -413,7 +445,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    swept = sorted(abstract.mem.touched())
+    swept = sorted(abstract._mem.touched())
     mismatch = memory_mismatch(concrete, abstract, swept)
     if mismatch is not None:
         raise _divergence(f"in the final sweep after step {steps}", *mismatch,

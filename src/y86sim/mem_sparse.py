@@ -3,6 +3,9 @@
 Values are immutable; `write` returns a new memory.  Because zero-valued
 writes delete their key, structural equality coincides with extensional
 equality: two memories reading the same everywhere are equal as values.
+The one exception is `_store`, which updates in place a memory that only
+its caller can reach (see `_store`); every memory a caller can reach
+through the public API stays unchanged.
 """
 
 from __future__ import annotations
@@ -58,6 +61,22 @@ class SparseMemory:
         else:
             del new[addr]
         return SparseMemory._from_raw(new)
+
+    def _store(self, addr: int, value: int) -> None:
+        """Bind `addr` to `value` (unbind when 0) in place.
+
+        Only for a memory no other reference can observe: one that the
+        caller's own `write` returned as a new value and that it has not
+        handed out since.  Checks `addr` and `value` as `write` does.
+        """
+        if not 0 <= addr < MEM_SIZE:
+            raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
+        if not 0 <= value <= 0xFF:
+            raise ValueOutOfRange(f"value {value} not a byte")
+        if value:
+            self._entries[addr] = value
+        else:
+            self._entries.pop(addr, None)
 
     def wellformed(self) -> bool:
         """Executable invariant: all keys 32-bit, all values nonzero bytes."""

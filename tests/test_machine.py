@@ -579,9 +579,140 @@ def test_set_reg_validation():
 
 
 def test_copy_independence():
-    m = Machine(PagedMemory(), image=asm.Image([(0, 0x10), (1, 0x00)]))
-    dup = m.copy()
-    dup.step()
-    assert m.eip == 0 and dup.eip == 1
-    dup.write_byte(0, 0xC0)
-    assert m.read_byte(0) == 0x10
+    for backend in (PagedMemory, SparseMemory):
+        for first in (0, 1):
+            m = Machine(backend(), image=asm.Image([(0, 0x10), (1, 0x00)]))
+            m.write_byte(0x200, 1)   # a sparse machine now owns its memory
+            dup = m.copy()
+            dup.step()
+            assert m.eip == 0 and dup.eip == 1
+            # Whichever machine stores first, the other keeps its bytes.
+            one, other = (m, dup) if first == 0 else (dup, m)
+            one.write_byte(0x200, 2)
+            assert other.read_byte(0x200) == 1
+            other.write_byte(0x300, 3)
+            assert one.read_byte(0x300) == 0
+            dup.write_byte(0, 0xC0)
+            assert m.read_byte(0) == 0x10
+
+
+# ---------------------------------------------------------------------------
+# sparse memory ownership: a machine stores in place only into a memory its
+# own write made, and every memory it hands out stays unchanged
+
+def test_mem_snapshot_is_not_written_by_later_stores():
+    m = Machine(SparseMemory())
+    m.write_byte(0x100, 1)
+    snap = m.mem
+    m.write_byte(0x100, 2)
+    m.write_byte(0x101, 3)
+    assert snap == SparseMemory({0x100: 1})
+    assert m.mem == SparseMemory({0x100: 2, 0x101: 3})
+    m.write_byte(0x102, 4)   # owns its memory again
+    # Setting the memory hands it in from outside: the machine must not
+    # store into it either.
+    base = SparseMemory({0x10: 5})
+    m.mem = base
+    m.write_byte(0x10, 6)
+    m.write_byte(0x11, 7)
+    assert base == SparseMemory({0x10: 5})
+    assert (m.read_byte(0x10), m.read_byte(0x11)) == (6, 7)
+
+
+def test_reloads_from_one_base_each_see_it_unchanged(popcount_assembled):
+    # As in `verify_popcount`: one machine reloaded from one shared base.
+    image, symbols = popcount_assembled
+    base = image.load(SparseMemory())
+    expected = SparseMemory(dict(image))
+    m = Machine(SparseMemory())
+    for n in (0xFFFFFFFF, 0x5, 0x80000001):
+        m.reload(base, eip=symbols["call-popcount"], esp=8192,
+                 keep_icache=True)
+        assert m.read_byte(8188) == 0   # no stack bytes left from a run
+        m.regs[EDX] = n
+        m.run(100_000)
+        assert m.status is Status.HLT and m.regs[EAX] == bin(n).count("1")
+        assert m.read_byte(8188) != 0   # the call pushed its return address
+        assert base == expected
+
+
+def test_ownership_against_plain_dict_oracle():
+    # Random stores, snapshots, copies and reloads on a few machines; every
+    # live machine and every snapshot must read as its own dict says.
+    rng = random.Random(0x0DD)
+    addrs = range(24)
+    machines = [(Machine(SparseMemory()), {})]
+    snapshots = [(SparseMemory(), {})]
+    for _ in range(3000):
+        op = rng.random()
+        m, oracle = rng.choice(machines)
+        if op < 0.6:
+            addr, value = rng.choice(addrs), rng.choice((0, 1, 0x80, 0xFF))
+            m.write_byte(addr, value)
+            oracle[addr] = value
+        elif op < 0.75:
+            snapshots.append((m.mem, dict(oracle)))
+        elif op < 0.85 and len(machines) < 6:
+            machines.append((m.copy(), dict(oracle)))
+        else:
+            mem, contents = rng.choice(snapshots)
+            m.reload(mem)
+            oracle.clear()
+            oracle.update(contents)
+        for mm, contents in machines:
+            assert [mm.read_byte(a) for a in addrs] \
+                == [contents.get(a, 0) for a in addrs]
+        for mem, contents in snapshots:
+            assert [mem.read(a) for a in addrs] \
+                == [contents.get(a, 0) for a in addrs]
+    assert len(snapshots) > 100 and len(machines) == 6
+
+
+# A loop storing 256 words, all of whose bytes are nonzero, into a fresh
+# block at 0x100000.
+WORD_LOOP = (
+    "main:\n"
+    "  irmovl $0x100000, %ebx\n"
+    "  irmovl $256, %ecx\n"
+    "  irmovl $4, %esi\n"
+    "  irmovl $1, %edi\n"
+    "  irmovl $0x11223344, %eax\n"
+    "loop:\n"
+    "  rmmovl %eax, 0(%ebx)\n"
+    "  addl %esi, %ebx\n"
+    "  subl %edi, %ecx\n"
+    "  jne loop\n"
+    "  halt\n")
+
+
+@pytest.fixture
+def sparse_writes(monkeypatch):
+    """The addresses of every `SparseMemory.write` call from here on."""
+    write = SparseMemory.write
+    calls = []
+
+    def counting_write(mem, addr, value):
+        calls.append(addr)
+        return write(mem, addr, value)
+
+    monkeypatch.setattr(SparseMemory, "write", counting_write)
+    return calls
+
+
+def test_sparse_run_writes_one_new_memory(sparse_writes):
+    m, _ = machine_from(WORD_LOOP)
+    sparse_writes.clear()
+    m.run(10_000)
+    assert m.status is Status.HLT
+    assert sparse_writes == [0x100000]
+    assert {a for a in m.mem.touched() if a >= 0x100000} \
+        == set(range(0x100000, 0x100400))
+    assert m.read_word(0x100000 + 4 * 255) == 0x11223344
+
+
+def test_lockstep_abstract_side_writes_one_new_memory(sparse_writes):
+    concrete, abstract = lockstep_pair(WORD_LOOP)
+    sparse_writes.clear()
+    report = run_in_lockstep(concrete, abstract, 10_000, seed=2)
+    assert abstract.status is Status.HLT and report.steps == 4 * 256 + 6
+    assert sparse_writes == [0x100000]

@@ -77,6 +77,18 @@ def test_range_errors():
         mem.write(0, -1)
 
 
+def test_store_checks_like_write_and_keeps_canonical_form():
+    mem = SparseMemory().write(7, 1)
+    with pytest.raises(AddressOutOfRange):
+        mem._store(MEM_SIZE, 1)
+    with pytest.raises(ValueOutOfRange):
+        mem._store(0, 256)
+    mem._store(7, 0)
+    mem._store(9, 0)   # unbinding an unbound address is a no-op
+    mem._store(8, 3)
+    assert mem == SparseMemory({8: 3}) and mem.wellformed()
+
+
 def test_wellformed_backdoor_violations():
     assert SparseMemory({5: 9}).wellformed()
     assert not SparseMemory._from_raw({5: 0}).wellformed()
