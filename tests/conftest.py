@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from y86sim import asm
+from y86sim.mem_sparse import SparseMemory
 
 
 def program_text(name: str) -> str:
@@ -29,3 +30,17 @@ def popcount_assembled():
 @pytest.fixture(scope="session")
 def stress_assembled():
     return asm.assemble(asm.parse(program_text("stress.ys")))
+
+
+@pytest.fixture
+def sparse_writes(monkeypatch):
+    """The addresses of every `SparseMemory.write` call from here on."""
+    write = SparseMemory.write
+    calls = []
+
+    def counting_write(mem, addr, value):
+        calls.append(addr)
+        return write(mem, addr, value)
+
+    monkeypatch.setattr(SparseMemory, "write", counting_write)
+    return calls

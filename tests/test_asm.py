@@ -262,24 +262,17 @@ def test_image_load_into_both_backends(simple_assembled):
         assert paged.read(addr) == sparse.read(addr) == 0
 
 
-def test_image_load_into_sparse_writes_one_new_memory(monkeypatch):
+def test_image_load_into_sparse_writes_one_new_memory(sparse_writes):
     image = Image([(a, a % 255 + 1) for a in range(1200)])
-    write = SparseMemory.write
-    calls = []
-
-    def counting_write(mem, addr, value):
-        calls.append(addr)
-        return write(mem, addr, value)
-
-    monkeypatch.setattr(SparseMemory, "write", counting_write)
     assert image.load(SparseMemory()) == SparseMemory(dict(image))
-    assert calls == [0]
+    assert sparse_writes == [0]
     # A write that changes nothing returns the memory it was given, which
     # is not the loader's to store into: only the next write's result is.
     base = SparseMemory({0x5000: 9})
-    calls.clear()
-    loaded = Image([(0x5000, 9), (0x5001, 0), (0x5002, 4), (0x5003, 5)]).load(base)
-    assert calls == [0x5000, 0x5001, 0x5002]
+    sparse_writes.clear()
+    image = Image([(0x5000, 9), (0x5001, 0), (0x5002, 4), (0x5003, 5)])
+    loaded = image.load(base)
+    assert sparse_writes == [0x5000, 0x5001, 0x5002]
     assert base == SparseMemory({0x5000: 9})
     assert loaded == SparseMemory({0x5000: 9, 0x5002: 4, 0x5003: 5})
 

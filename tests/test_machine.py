@@ -685,20 +685,6 @@ WORD_LOOP = (
     "  halt\n")
 
 
-@pytest.fixture
-def sparse_writes(monkeypatch):
-    """The addresses of every `SparseMemory.write` call from here on."""
-    write = SparseMemory.write
-    calls = []
-
-    def counting_write(mem, addr, value):
-        calls.append(addr)
-        return write(mem, addr, value)
-
-    monkeypatch.setattr(SparseMemory, "write", counting_write)
-    return calls
-
-
 def test_sparse_run_writes_one_new_memory(sparse_writes):
     m, _ = machine_from(WORD_LOOP)
     sparse_writes.clear()
