@@ -40,7 +40,7 @@ from .lockstep import (
     unsound_const_demo,
     y86_spec,
 )
-from .machine import ESP, Machine, run_in_lockstep
+from .machine import Machine, run_in_lockstep
 from .mem_paged import PagedMemory
 from .mem_sparse import SparseMemory
 

@@ -12,10 +12,13 @@ destructively.  Ownership ends whenever the memory is handed out, through
 unchanged.  A machine is single-writer; distinct machines may run on
 distinct threads.
 
-Decoded instructions are cached by address, together with the bytes
-they were decoded from.  A byte write into a cached span drops the cache,
-so self-modifying code re-decodes, and a reload that keeps the cache first
-checks those bytes against the new memory.
+Decoded instructions are cached by address.  An entry holds the
+`Instruction` and its fall-through address, the eip after it masked to
+32 bits, so that address is computed once per decode, not once per step.
+The bytes each entry was decoded from are kept too.  A byte write into a
+cached span drops the cache, so self-modifying code re-decodes, and a
+reload that keeps the cache first checks those bytes against the new
+memory.
 """
 
 from __future__ import annotations
@@ -172,7 +175,49 @@ class Machine:
             entry = self._fetch_decode(eip)
             if entry is None:
                 return
-        self._exec(entry[0], entry[1])
+        instr, nxt = entry
+        kind = instr.kind
+        r = self.regs
+        if kind is Kind.ALU:
+            res, zf, sf, of = alu_bits(instr.fn, r[instr.ra], r[instr.rb])
+            r[instr.rb] = res
+            self.zf = zf
+            self.sf = sf
+            self.of = of
+        elif kind is Kind.JMP:
+            if cond_holds(instr.fn, self.zf, self.sf, self.of):
+                nxt = instr.value
+        elif kind is Kind.RRMOVL:
+            if cond_holds(instr.fn, self.zf, self.sf, self.of):
+                r[instr.rb] = r[instr.ra]
+        elif kind is Kind.IRMOVL:
+            r[instr.rb] = instr.value
+        elif kind is Kind.MRMOVL:
+            r[instr.ra] = self.read_word(r[instr.rb] + instr.value)
+        elif kind is Kind.RMMOVL:
+            self.write_word(r[instr.rb] + instr.value, r[instr.ra])
+        elif kind is Kind.CALL:
+            sp = (r[ESP] - 4) & MASK32
+            r[ESP] = sp
+            self.write_word(sp, nxt)
+            nxt = instr.value
+        elif kind is Kind.RET:
+            sp = r[ESP]
+            nxt = self.read_word(sp)
+            r[ESP] = (sp + 4) & MASK32
+        elif kind is Kind.PUSHL:
+            sp = (r[ESP] - 4) & MASK32
+            r[ESP] = sp
+            self.write_word(sp, r[instr.ra])
+        elif kind is Kind.POPL:
+            sp = r[ESP]
+            value = self.read_word(sp)
+            r[ESP] = (sp + 4) & MASK32
+            r[instr.ra] = value
+        elif kind is Kind.HALT:  # eip stays at the halt instruction
+            self.status = Status.HLT
+            return
+        self.eip = nxt  # all a NOP does
 
     def _fetch_decode(self, eip):
         rd = self._mem.read
@@ -182,65 +227,12 @@ class Machine:
         except InvalidInstruction:
             self.status = Status.INS
             return None
-        entry = (instr, length)
+        entry = (instr, (eip + length) & MASK32)
         self._icache[eip] = entry
         spans = self._icache_bytes
         for k in range(length):
             spans[(eip + k) & MASK32] = window[k]
         return entry
-
-    def _exec(self, instr: Instruction, length: int) -> None:
-        kind = instr.kind
-        r = self.regs
-        if kind is Kind.ALU:
-            res, zf, sf, of = alu_bits(instr.fn, r[instr.ra], r[instr.rb])
-            r[instr.rb] = res
-            self.zf = zf
-            self.sf = sf
-            self.of = of
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.JMP:
-            if cond_holds(instr.fn, self.zf, self.sf, self.of):
-                self.eip = instr.value
-            else:
-                self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.RRMOVL:
-            if cond_holds(instr.fn, self.zf, self.sf, self.of):
-                r[instr.rb] = r[instr.ra]
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.IRMOVL:
-            r[instr.rb] = instr.value
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.MRMOVL:
-            r[instr.ra] = self.read_word(r[instr.rb] + instr.value)
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.RMMOVL:
-            self.write_word(r[instr.rb] + instr.value, r[instr.ra])
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.CALL:
-            sp = (r[ESP] - 4) & MASK32
-            r[ESP] = sp
-            self.write_word(sp, (self.eip + length) & MASK32)
-            self.eip = instr.value
-        elif kind is Kind.RET:
-            sp = r[ESP]
-            self.eip = self.read_word(sp)
-            r[ESP] = (sp + 4) & MASK32
-        elif kind is Kind.PUSHL:
-            sp = (r[ESP] - 4) & MASK32
-            r[ESP] = sp
-            self.write_word(sp, r[instr.ra])
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.POPL:
-            sp = r[ESP]
-            value = self.read_word(sp)
-            r[ESP] = (sp + 4) & MASK32
-            r[instr.ra] = value
-            self.eip = (self.eip + length) & MASK32
-        elif kind is Kind.NOP:
-            self.eip = (self.eip + length) & MASK32
-        else:  # HALT: eip stays at the halt instruction
-            self.status = Status.HLT
 
     def run(self, n: int, trace=None) -> int:
         """Step until `n` steps are consumed or status leaves AOK.

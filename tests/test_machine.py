@@ -5,10 +5,14 @@ import re
 
 import pytest
 
-from y86sim import asm
+from y86sim import asm, isa
 from y86sim.errors import CorrespondenceFailure
 from y86sim.isa import (
+    MASK32,
     Flags,
+    Instruction,
+    Kind,
+    Register,
     Status,
 )
 from y86sim.machine import ESP, Machine, run_in_lockstep, state_mismatch
@@ -334,6 +338,65 @@ def test_reload_checks_cached_bytes_against_new_memory(load):
     m.run(10)
     assert m.status is Status.HLT
     assert m.regs[EAX] == 2
+
+
+# An irmovl straddles the top of memory and falls through to 2, where a
+# call pushes its return address 7 and jumps to a ret just below the
+# irmovl; the ret returns to the halt at 7.
+WRAP_START, WRAP_RET = 0xFFFFFFFC, 0xFFFFFFFB
+WRAP_CODE = [
+    (WRAP_START, isa.encode(Instruction(Kind.IRMOVL, rb=Register.EAX,
+                                        value=0x12345678))),
+    (2, isa.encode(Instruction(Kind.CALL, value=WRAP_RET))),
+    (7, isa.encode(Instruction(Kind.HALT))),
+    (WRAP_RET, isa.encode(Instruction(Kind.RET))),
+]
+WRAP_IMAGE = asm.Image([((start + k) & MASK32, byte)
+                        for start, code in WRAP_CODE
+                        for k, byte in enumerate(code)])
+# (eip, %esp) after each step, from (WRAP_START, 8192).
+WRAP_TRAIL = [(2, 8192), (WRAP_RET, 8188), (7, 8192), (7, 8192)]
+
+
+def assert_wrap_run(m):
+    trail = []
+    for _ in WRAP_TRAIL:
+        m.step()
+        trail.append((m.eip, m.regs[ESP]))
+    assert trail == WRAP_TRAIL
+    assert m.regs[EAX] == 0x12345678
+    assert m.read_word(8188) == 7
+    assert m.status is Status.HLT
+
+
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+def test_execution_wraps_across_top_of_memory(backend):
+    m = Machine(backend(), eip=WRAP_START, esp=8192, image=WRAP_IMAGE)
+    assert_wrap_run(m)
+    # The cached entries run after a reload that keeps them.
+    m.reload(WRAP_IMAGE.load(backend()), eip=WRAP_START, esp=8192,
+             keep_icache=True)
+    assert len(m._icache) == 4 and m.icache_clears == 0
+    assert_wrap_run(m)
+
+
+def test_lockstep_wraps_across_top_of_memory():
+    concrete = Machine(PagedMemory(), eip=WRAP_START, esp=8192,
+                       image=WRAP_IMAGE)
+    abstract = Machine(SparseMemory(), eip=WRAP_START, esp=8192,
+                       image=WRAP_IMAGE)
+    for _ in range(2):
+        lines = []
+        report = run_in_lockstep(concrete, abstract, 10, trace=lines.append)
+        assert report.steps == 4
+        assert [int(re.search(r"eip=(\S+)", line)[1], 16) for line in lines] \
+            == [WRAP_START] + [eip for eip, _ in WRAP_TRAIL[:3]]
+        for m in (concrete, abstract):
+            assert (m.eip, m.status, m.regs[EAX]) == (7, Status.HLT,
+                                                       0x12345678)
+            m.reload(WRAP_IMAGE.load(type(m._mem)()), eip=WRAP_START,
+                     esp=8192, keep_icache=True)
+            assert len(m._icache) == 4
 
 
 @pytest.mark.parametrize("where", [{"eip": 1 << 33}, {"eip": -1},
