@@ -2,7 +2,8 @@
 
 A LockstepSpec registers an object with two representations: a concrete
 one built for execution and an abstract one built for reasoning about,
-related by a correspondence predicate.  Every exported operation carries
+related by a correspondence that names their first difference, or
+returns None when they correspond.  Every exported operation carries
 a logic function (abstract side) and an exec function (concrete side).
 
 Each obligation is stated once: `_check_invoke` checks the logic side of
@@ -72,13 +73,16 @@ class Export:
 
 @dataclass(frozen=True)
 class LockstepSpec:
-    """Registration record: recognizer, creators, correspondence, exports."""
+    """Registration record: recognizer, creators, correspondence, exports.
+
+    `corr(concrete, abstract)` is None when the states correspond, else a
+    text naming the first difference; a bool is a failure either way."""
 
     name: str
     recognizer_logic: Callable[[Any], bool]
     creator_logic: Callable[[], Any]
     creator_exec: Callable[[], Any]
-    corr: Callable[[Any, Any], bool]
+    corr: Callable[[Any, Any], str | None]
     exports: tuple[Export, ...]
 
     def __post_init__(self):
@@ -212,9 +216,9 @@ def _check_invoke(spec, export, concrete, abstract, args, result):
             return abstract, [
                 ("corr", f"exec {result!r} != logic {logic_result!r}")]
         return abstract, []
-    failures = []
-    if not spec.corr(concrete, logic_result):
-        failures.append(("corr", "updated states do not correspond"))
+    difference = spec.corr(concrete, logic_result)
+    failures = [] if difference is None else [
+        ("corr", f"updated states do not correspond: {difference}")]
     if not spec.recognizer_logic(logic_result):
         failures.append(("pres", "recognizer rejects updated abstract value"))
     return logic_result, failures
@@ -222,10 +226,10 @@ def _check_invoke(spec, export, concrete, abstract, args, result):
 
 def _check_created(spec, concrete, abstract):
     """The creator obligations over a new pair, as [(family, message)]."""
-    failures = []
-    if not spec.corr(concrete, abstract):
-        failures.append(
-            ("corr", "creators do not produce corresponding states"))
+    difference = spec.corr(concrete, abstract)
+    failures = [] if difference is None else [
+        ("corr", "creators do not produce corresponding states: "
+                 f"{difference}")]
     if not spec.recognizer_logic(abstract):
         failures.append(
             ("pres", "created abstract value fails the recognizer"))

@@ -28,7 +28,7 @@ from ..errors import InjectedFault
 from ..isa import (
     MASK32, MNEMONICS, OPERANDS, Flags, Instruction, Register, Status, encode,
 )
-from ..machine import Machine, memory_mismatch, state_mismatch
+from ..machine import Machine, correspondence
 from ..mem_paged import MEM_SIZE, PagedMemory
 from ..mem_sparse import SparseMemory
 from .core import CaseSource, DualState, Export, LockstepSpec
@@ -114,14 +114,18 @@ def even_recognizer(a) -> bool:
     )
 
 
-def _demo_corr(c, a, compared: int = SLOT_COUNT) -> bool:
-    """Misc and the first `compared` slots agree.  The recognizer is not
-    re-run: every caller checks it next, as the PRESERVED obligation."""
-    return (
-        isinstance(c, SlotStore) and len(c.slots) == SLOT_COUNT
-        and c.misc == a.misc
-        and all(c.slots[i] == even_lookup(a, i) for i in range(compared))
-    )
+def _demo_corr(c, a, compared: int = SLOT_COUNT) -> str | None:
+    """None when misc and the first `compared` slots agree, else the first
+    difference.  Every caller checks the recognizer next, as PRESERVED."""
+    if not (isinstance(c, SlotStore) and len(c.slots) == SLOT_COUNT):
+        return f"concrete side is not a {SLOT_COUNT}-slot SlotStore"
+    if c.misc != a.misc:
+        return f"misc is {c.misc!r} concrete vs {a.misc!r} abstract"
+    for i in range(compared):
+        if c.slots[i] != even_lookup(a, i):
+            return (f"slot {i} is {c.slots[i]!r} concrete vs "
+                    f"{even_lookup(a, i)!r} abstract")
+    return None
 
 
 def demo_spec(corrupt: str | None = None) -> LockstepSpec:
@@ -321,7 +325,10 @@ def const_spec(protect: bool = True,
         recognizer_logic=lambda a: a == 0,
         creator_logic=lambda: 0,
         creator_exec=OneField,
-        corr=lambda c, a: isinstance(c, OneField) and c.fld == 0 and a == 0,
+        corr=lambda c, a: (
+            None if isinstance(c, OneField) and c.fld == 0 and a == 0
+            else f"fld is {getattr(c, 'fld', c)!r} concrete vs {a!r} "
+                 f"abstract; both must be 0"),
         exports=exports,
     )
 
@@ -342,10 +349,6 @@ def unsound_const_demo() -> DualState:
 # the Y86 machine as a registered dual object
 
 _RUN_CAP = 64
-_FIXED_PROBES = (
-    0, 1, 0x50, 0x56, 0xFF, 0xFFFFFF, 0x1000000, 0x1000001,
-    8188, 8189, 8190, 8191, 8192, 0x7FFFFFFF, 0xFFFFFFFF,
-)
 
 
 def _n32(x) -> bool:
@@ -362,24 +365,6 @@ def _y86_recognizer(a) -> bool:
         and _n32(a.eip)
         and isinstance(a.status, Status)
     )
-
-
-def _y86_corr(concrete, abstract) -> bool:
-    """Paged and sparse machines agree on every field, on every address
-    the sparse memory holds and on `_FIXED_PROBES`.
-
-    The abstract recognizer is not re-run here: every caller checks it
-    right after `corr`, as the separate PRESERVED obligation.
-    """
-    return (isinstance(concrete, Machine)
-            and isinstance(concrete.mem, PagedMemory)
-            and concrete.mem.wellformed()
-            and isinstance(abstract, Machine)
-            and isinstance(abstract.mem, SparseMemory)
-            and state_mismatch(concrete, abstract) is None
-            and memory_mismatch(concrete, abstract,
-                                abstract.mem.touched()) is None
-            and memory_mismatch(concrete, abstract, _FIXED_PROBES) is None)
 
 
 def _logic(mutate: Callable) -> Callable:
@@ -471,7 +456,7 @@ def y86_spec() -> LockstepSpec:
         recognizer_logic=_y86_recognizer,
         creator_logic=lambda: Machine(SparseMemory()),
         creator_exec=lambda: Machine(PagedMemory()),
-        corr=_y86_corr,
+        corr=correspondence,
         exports=exports,
     )
 

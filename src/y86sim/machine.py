@@ -19,6 +19,10 @@ The bytes each entry was decoded from are kept too.  A byte write into a
 cached span drops the cache, so self-modifying code re-decodes, and a
 reload that keeps the cache first checks those bytes against the new
 memory.
+
+`correspondence` states once, through `mismatch`, how a paged machine
+corresponds to a sparse one: `y86_spec()` registers it as `corr`, and
+`run_in_lockstep` ends with it.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ from .isa import (
     decode,
     format_instruction,
 )
-from .mem_paged import SENTINEL
+from .mem_paged import SENTINEL, PagedMemory
+from .mem_sparse import SparseMemory
 
-__all__ = ["Machine", "LockstepReport", "run_in_lockstep", "state_mismatch",
-           "memory_mismatch", "ESP"]
+__all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
+           "correspondence", "ESP"]
 
 ESP = 4  # stack pointer register number
 
@@ -331,6 +336,11 @@ class Machine:
 _RECENT_STEPS = 8
 # Random addresses probed after each lockstep step.
 _PROBES_PER_STEP = 32
+# Addresses the correspondence compares besides those the sparse side holds.
+_FIXED_PROBES = (
+    0, 1, 0x50, 0x56, 0xFF, 0xFFFFFF, 0x1000000, 0x1000001,
+    8188, 8189, 8190, 8191, 8192, 0x7FFFFFFF, 0xFFFFFFFF,
+)
 
 
 @dataclass(frozen=True)
@@ -339,47 +349,50 @@ class LockstepReport:
     addresses_checked: int
 
 
-def state_mismatch(concrete: Machine, abstract: Machine):
-    """The first non-memory field on which two machines differ.
-
-    Returns (field, concrete value, abstract value) as strings, registers
-    named as in `REGISTER_NAMES`, or None when regs, eip, flags and
-    status all agree.
+def mismatch(concrete: Machine, abstract: Machine, addrs=()):
+    """None, or the first difference in registers, eip, flags, status, then
+    memory at each of `addrs`, as in "%edx is 0x7 concrete vs 0x0 abstract"
+    or "memory at 0x200 is 0x5b concrete vs 0x5a abstract".
     """
     c, a = concrete, abstract
-    if (c.regs == a.regs and c.eip == a.eip and c.zf == a.zf
-            and c.sf == a.sf and c.of == a.of and c.status is a.status):
-        return None
-    for name, got, want in zip(REGISTER_NAMES, c.regs, a.regs):
-        if got != want:
-            return f"%{name}", f"{got:#x}", f"{want:#x}"
-    if c.eip != a.eip:
-        return "eip", f"{c.eip:#x}", f"{a.eip:#x}"
-    if (c.zf, c.sf, c.of) != (a.zf, a.sf, a.of):
-        return "flags", f"{c.zf}{c.sf}{c.of}", f"{a.zf}{a.sf}{a.of}"
-    return "status", c.status.value, a.status.value
-
-
-def memory_mismatch(concrete: Machine, abstract: Machine, addrs):
-    """The first address in `addrs` at which two machines' memories differ.
-
-    Returns ("memory at ADDR", concrete byte, abstract byte) as strings,
-    in the shape of `state_mismatch`, or None when the memories agree at
-    every address.
-    """
-    cread, aread = concrete._mem.read, abstract._mem.read
+    if (c.regs != a.regs or c.eip != a.eip or c.zf != a.zf
+            or c.sf != a.sf or c.of != a.of or c.status is not a.status):
+        fields = [*((f"%{name}", f"{got:#x}", f"{want:#x}") for name, got, want
+                    in zip(REGISTER_NAMES, c.regs, a.regs)),
+                  ("eip", f"{c.eip:#x}", f"{a.eip:#x}"),
+                  ("flags", f"{c.zf}{c.sf}{c.of}", f"{a.zf}{a.sf}{a.of}"),
+                  ("status", c.status.value, a.status.value)]
+        field, got, want = next(f for f in fields if f[1] != f[2])
+        return f"{field} is {got} concrete vs {want} abstract"
+    cread, aread = c._mem.read, a._mem.read
     for addr in addrs:
         if cread(addr) != aread(addr):
-            return (f"memory at {addr:#x}", f"{cread(addr):#04x}",
-                    f"{aread(addr):#04x}")
+            return (f"memory at {addr:#x} is {cread(addr):#04x} concrete vs "
+                    f"{aread(addr):#04x} abstract")
     return None
 
 
-def _divergence(when: str, field: str, got, want, recent) -> CorrespondenceFailure:
+def correspondence(concrete, abstract):
+    """None when a paged machine corresponds to a sparse one, else the first
+    difference: the paged memory is `wellformed()`, and `mismatch` finds
+    none at the addresses the sparse memory holds or in `_FIXED_PROBES`.
+    The sparse side's recognizer is not part of it."""
+    if not (isinstance(concrete, Machine)
+            and isinstance(concrete._mem, PagedMemory)
+            and isinstance(abstract, Machine)
+            and isinstance(abstract._mem, SparseMemory)):
+        return "the pair is not a paged machine and a sparse one"
+    if not concrete._mem.wellformed():
+        return "the paged memory is not wellformed()"
+    return mismatch(concrete, abstract,
+                    [*abstract._mem.touched(), *_FIXED_PROBES])
+
+
+def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:
     trail = " ".join(f"{eip:#x}" for eip in recent) or "none"
     return CorrespondenceFailure(
-        f"lockstep diverged {when}: {field} is {got} concrete vs {want} "
-        f"abstract; eips of the last {len(recent)} steps: {trail}")
+        f"lockstep diverged {when}: {difference}; eips of the last "
+        f"{len(recent)} steps: {trail}")
 
 
 def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
@@ -390,18 +403,18 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     After every step the machines must agree on regs, eip, flags and
     status, and on each address that either of them wrote during that
     step; `_PROBES_PER_STEP` (32) more addresses, drawn from `seed` inside
-    the blocks the paged memory has allocated, are probed as well.  A
-    final sweep compares every address the sparse memory holds.  Raises
-    CorrespondenceFailure on the first divergence, naming the step, the
-    differing field or address, both values and the last few eips.
+    the blocks the paged memory has allocated, are probed as well.  The
+    final sweep is `correspondence`.  Raises CorrespondenceFailure on the
+    first divergence, naming the step, the first difference and the last
+    few eips.
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
     if n < 0:
         raise ValueError("step budget must be a natural number")
-    if not hasattr(abstract._mem, "touched"):
+    if not isinstance(abstract._mem, SparseMemory):
         raise TypeError("abstract machine must use a sparse memory backend")
-    if not hasattr(concrete._mem, "table"):
+    if not isinstance(concrete._mem, PagedMemory):
         raise TypeError("concrete machine must use a paged memory backend")
     getrandbits = random.Random(seed).getrandbits
     recent = deque(maxlen=_RECENT_STEPS)
@@ -428,19 +441,16 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             probes = ([blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
                        for x in map(getrandbits, [32] * _PROBES_PER_STEP)]
                       if blocks else ())
-            mismatch = (state_mismatch(concrete, abstract)
-                        or memory_mismatch(concrete, abstract, written)
-                        or memory_mismatch(concrete, abstract, probes))
-            if mismatch is not None:
-                raise _divergence(f"at step {steps}", *mismatch, recent)
+            difference = mismatch(concrete, abstract, [*written, *probes])
+            if difference is not None:
+                raise _divergence(f"at step {steps}", difference, recent)
             checked += len(written) + len(probes)
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    swept = sorted(abstract._mem.touched())
-    mismatch = memory_mismatch(concrete, abstract, swept)
-    if mismatch is not None:
-        raise _divergence(f"in the final sweep after step {steps}", *mismatch,
+    difference = correspondence(concrete, abstract)
+    if difference is not None:
+        raise _divergence(f"in the final sweep after step {steps}", difference,
                           recent)
-    checked += len(swept)
+    checked += len(abstract._mem) + len(_FIXED_PROBES)
     return LockstepReport(steps=steps, addresses_checked=checked)

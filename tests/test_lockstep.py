@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -54,25 +55,48 @@ def test_create_y86_dual():
 
 
 def test_broken_creator_fails_correspondence():
-    spec = demo_spec()
+    def store_with(update, *args):
+        def bad_creator():
+            store = SlotStore()
+            update(store, *args)
+            return store
+        return bad_creator
 
-    def bad_creator():
-        store = SlotStore()
-        store.set_slot(17, 1)
-        return store
+    def field_of_one():
+        one = OneField()
+        one.set_fld(1)
+        return one
 
-    broken = LockstepSpec(
-        name="broken",
-        recognizer_logic=spec.recognizer_logic,
-        creator_logic=spec.creator_logic,
-        creator_exec=bad_creator,
-        corr=spec.corr,
-        exports=spec.exports,
-    )
-    with pytest.raises(CorrespondenceFailure):
-        DualState(broken)
-    # fast mode skips the creator check by design
-    DualState(broken, mode="fast")
+    # Each correspondence names its first difference.
+    for spec, bad_creator, difference in (
+            (demo_spec(), store_with(SlotStore.set_slot, 17, 1),
+             "slot 17 is 1 concrete vs 0 abstract"),
+            (demo_spec(), store_with(SlotStore.set_misc, "x"),
+             "misc is 'x' concrete vs None abstract"),
+            (const_spec(), field_of_one, "fld is 1 concrete vs 0 abstract")):
+        broken = LockstepSpec(
+            name="broken",
+            recognizer_logic=spec.recognizer_logic,
+            creator_logic=spec.creator_logic,
+            creator_exec=bad_creator,
+            corr=spec.corr,
+            exports=spec.exports,
+        )
+        with pytest.raises(CorrespondenceFailure) as info:
+            DualState(broken)
+        assert str(info.value).startswith(
+            f"broken: creators do not produce corresponding states: "
+            f"{difference}")
+        # fast mode skips the creator check by design
+        DualState(broken, mode="fast")
+
+
+def test_corr_returning_a_bool_is_a_failure():
+    # The contract is None or a text; a stale predicate never passes.
+    for verdict in (True, False):
+        stale = dataclasses.replace(demo_spec(), corr=lambda c, a: verdict)
+        with pytest.raises(CorrespondenceFailure, match=f": {verdict}$"):
+            DualState(stale)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +299,11 @@ def test_y86_corr_compares_every_byte_the_sparse_memory_holds():
     for addr in range(0x100, 0x100 + 600):
         concrete.write_byte(addr, addr & 0x7F | 1)
         abstract.write_byte(addr, addr & 0x7F | 1)
-    assert spec.corr(concrete, abstract)
+    assert spec.corr(concrete, abstract) is None
     # Past 512 held bytes a stride sample would skip every other address.
     concrete.write_byte(0x101, concrete.read_byte(0x101) ^ 0x40)
-    assert not spec.corr(concrete, abstract)
+    assert (spec.corr(concrete, abstract)
+            == "memory at 0x101 is 0x41 concrete vs 0x01 abstract")
 
 
 def test_y86_malformed_memory_is_caught_by_preservation_alone():
@@ -342,6 +367,23 @@ def test_y86_obligations_pass_quick():
     report = check_obligations(spec, Y86Cases(), n_cases=150,
                                seed=7)
     assert report.ok, report.to_text()
+
+
+def test_y86_suite_names_what_differs(monkeypatch):
+    # A paged backend that drops every store whose address ends in 0x5c.
+    write = PagedMemory.write
+
+    def drop_5c(self, addr, value):
+        return write(self, addr, 0 if addr & 0xFF == 0x5C else value)
+
+    monkeypatch.setattr(PagedMemory, "write", drop_5c)
+    report = check_obligations(y86_spec(), Y86Cases(), 300, seed=1)
+    messages = [f.message for o in report.outcomes for f in o.failures
+                if o.name.endswith("{CORRESPONDENCE}")]
+    assert messages
+    for message in messages:
+        assert re.search(r": (%e[a-z]{2}|eip|flags|status|"
+                         r"memory at 0x[0-9a-f]*5c) is ", message), message
 
 
 def test_mutation_blind_corr_detected():

@@ -15,7 +15,7 @@ from y86sim.isa import (
     Register,
     Status,
 )
-from y86sim.machine import ESP, Machine, run_in_lockstep, state_mismatch
+from y86sim.machine import ESP, Machine, mismatch, run_in_lockstep
 from y86sim.mem_paged import PAGE_SIZE, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
@@ -564,9 +564,36 @@ def test_lockstep_mismatch_names_register():
 ])
 def test_state_mismatch_names_each_non_register_field(attr, value, report):
     concrete, abstract = lockstep_pair(STORE_LOOP)
-    assert state_mismatch(concrete, abstract) is None
+    assert mismatch(concrete, abstract) is None
     setattr(concrete, attr, value)
-    assert state_mismatch(concrete, abstract) == report
+    assert mismatch(concrete, abstract) == "{} is {} concrete vs {} abstract".format(
+        *report)
+
+
+class CursorLosingMemory(PagedMemory):
+    """Allocates blocks as `PagedMemory` does, then restores its cursor,
+    so the array no longer ends at `next_addr`."""
+
+    def add_page(self, top):
+        cursor = self.next_addr
+        super().add_page(top)
+        self.next_addr = cursor
+        return self
+
+
+def test_lockstep_catches_paged_memory_that_ends_malformed():
+    image, _ = asm.assemble(asm.parse(
+        "main:\n"
+        "  irmovl $0x5a, %eax\n"
+        "  rmmovl %eax, 0x200(%ebx)\n"
+        "  halt\n"))
+    concrete = Machine(CursorLosingMemory(), esp=8192, image=image)
+    abstract = Machine(SparseMemory(), esp=8192, image=image)
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 10)
+    assert "in the final sweep after step 3: " in str(info.value)
+    assert "wellformed" in str(info.value)
+    assert concrete.read_byte(0x200) == abstract.read_byte(0x200) == 0x5A
 
 
 def test_lockstep_rejects_wrong_backends():
