@@ -566,8 +566,8 @@ def test_state_mismatch_names_each_non_register_field(attr, value, report):
     concrete, abstract = lockstep_pair(STORE_LOOP)
     assert mismatch(concrete, abstract) is None
     setattr(concrete, attr, value)
-    assert mismatch(concrete, abstract) == "{} is {} concrete vs {} abstract".format(
-        *report)
+    expected = "{} is {} concrete vs {} abstract".format(*report)
+    assert mismatch(concrete, abstract) == expected
 
 
 class CursorLosingMemory(PagedMemory):
