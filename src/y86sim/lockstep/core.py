@@ -12,14 +12,15 @@ pair.  DualState, in check mode, raises the first failure at creation
 and on every invoke; check_obligations records every failure over
 randomized cases drawn from a CaseSource pool.
 
-Exports whose concrete function performs more than one primitive update
-must be marked `protect`: the state is poisoned while such an export
-runs, so an abort mid-update leaves it unusable instead of silently
-inconsistent, and every later invoke raises PoisonedState naming the
-export, the exception that aborted it and the number of primitive
-updates it had done.  Unprotected exports are checked dynamically:
-completing one with more than one primitive update raises
-AtomicityViolation.
+An export's update budget follows from its kind: a reader may perform
+no primitive update of the concrete state and an updater one.  An export
+that needs more must be marked `protect`: the state is poisoned while
+such an export runs, so an abort mid-update leaves it unusable instead
+of silently inconsistent, and every later invoke raises PoisonedState
+naming the export, the exception that aborted it and the number of
+primitive updates it had done.  `DualState.invoke` counts the updates of
+every call and raises AtomicityViolation when an unprotected export
+exceeds its budget.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class Export:
     before either state is touched.  `exec_guard`, when given, states the
     concrete function's own precondition over (concrete, *args); the
     guard obligation asserts it follows from `guard` at corresponding
-    states.  `declared_updater_calls` optionally documents how many
-    primitive updates the exec function performs; declaring more than one
-    without `protect` is rejected at registration time.
+    states.  An unprotected reader may perform no primitive update and an
+    unprotected updater one; `protect` lifts the budget (see the module
+    docstring).
     """
 
     name: str
@@ -68,7 +69,6 @@ class Export:
     guard: Callable[..., bool]
     exec_guard: Callable[..., bool] | None = None
     protect: bool = False
-    declared_updater_calls: int | None = None
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,6 @@ class LockstepSpec:
         for e in self.exports:
             if e.kind not in ("reader", "updater"):
                 raise ValueError(f"export {e.name!r}: bad kind {e.kind!r}")
-            if (e.declared_updater_calls is not None
-                    and e.declared_updater_calls > 1 and not e.protect):
-                raise AtomicityViolation(
-                    f"export {e.name!r} declares "
-                    f"{e.declared_updater_calls} primitive updates; "
-                    f"multi-update exports must set protect")
 
 
 def _update_count(concrete) -> int:
@@ -189,7 +183,7 @@ class DualState:
             self.poisoned = False
         else:
             delta = _update_count(concrete) - before
-            if delta > 1:
+            if delta > (export.kind == "updater"):
                 raise AtomicityViolation(
                     f"export {name!r} performed {delta} primitive updates "
                     f"but is not marked protect")

@@ -171,7 +171,6 @@ def demo_spec(corrupt: str | None = None) -> LockstepSpec:
             exec_fn=SlotStore.get_slot,
             guard=lambda a, k: index_ok(k),
             exec_guard=lambda c, k: 0 <= k < len(c.slots),
-            declared_updater_calls=0,
         ),
         Export(
             "update", "updater",
@@ -180,21 +179,18 @@ def demo_spec(corrupt: str | None = None) -> LockstepSpec:
             guard=lambda a, k, v: (index_ok(k) and isinstance(v, int)
                                    and v >= 0 and v % 2 == 0),
             exec_guard=lambda c, k, v: 0 <= k < len(c.slots),
-            declared_updater_calls=1,
         ),
         Export(
             "misc", "reader",
             logic_fn=even_misc,
             exec_fn=SlotStore.get_misc,
             guard=lambda a: True,
-            declared_updater_calls=0,
         ),
         Export(
             "update-misc", "updater",
             logic_fn=even_update_misc,
             exec_fn=SlotStore.set_misc,
             guard=lambda a, v: True,
-            declared_updater_calls=1,
         ),
     )
     return LockstepSpec(
@@ -310,7 +306,6 @@ def const_spec(protect: bool = True,
             logic_fn=lambda a: 0,
             exec_fn=OneField.get_fld,
             guard=lambda a: True,
-            declared_updater_calls=0,
         ),
         Export(
             "change-fld", "updater",
@@ -358,8 +353,8 @@ def _n32(x) -> bool:
 def _y86_recognizer(a) -> bool:
     return (
         isinstance(a, Machine)
-        and isinstance(a.mem, SparseMemory)
-        and a.mem.wellformed()
+        and isinstance(a._mem, SparseMemory)
+        and a._mem.wellformed()
         and len(a.regs) == 8
         and all(_n32(v) for v in a.regs)
         and _n32(a.eip)
@@ -395,7 +390,6 @@ def y86_spec() -> LockstepSpec:
             exec_fn=lambda c, i: c.regs[i],
             guard=lambda a, i: isinstance(i, int) and 0 <= i < 8,
             exec_guard=lambda c, i: 0 <= i < len(c.regs),
-            declared_updater_calls=0,
         ),
         Export(
             "!rgfi", "updater",
@@ -403,21 +397,18 @@ def y86_spec() -> LockstepSpec:
             exec_fn=Machine.set_reg,
             guard=lambda a, i, v: isinstance(i, int) and 0 <= i < 8 and _n32(v),
             exec_guard=lambda c, i, v: 0 <= i < len(c.regs),
-            declared_updater_calls=1,
         ),
         Export(
             "eip", "reader",
             logic_fn=lambda a: a.eip,
             exec_fn=lambda c: c.eip,
             guard=lambda a: True,
-            declared_updater_calls=0,
         ),
         Export(
             "!eip", "updater",
             logic_fn=_logic(Machine.set_eip),
             exec_fn=Machine.set_eip,
             guard=lambda a, v: _n32(v),
-            declared_updater_calls=1,
         ),
         Export(
             "memi", "reader",
@@ -425,7 +416,6 @@ def y86_spec() -> LockstepSpec:
             exec_fn=Machine.read_byte,
             guard=lambda a, i: _n32(i),
             exec_guard=lambda c, i: 0 <= i < MEM_SIZE,
-            declared_updater_calls=0,
         ),
         Export(
             "!memi", "updater",
@@ -485,14 +475,14 @@ def _random_instruction(rng: random.Random, value_dist) -> Instruction:
 class Y86Cases(CaseSource):
     """Pool of corresponding machine pairs.
 
-    The pool advances through identical primitive updates applied to both
-    sides, which preserves correspondence by construction regardless of
-    export correctness.  Generated addresses and register values stay
-    within a couple of 16MB blocks so executed instruction soup cannot
-    allocate pages all over the 4GB space; a page-count valve rebuilds the
-    pool if arithmetic drift escapes the domain anyway, and periodic
-    resets bound the touched-set size (the recognizer is a genuine O(n)
-    scan).
+    The pool advances by drawing each primitive update once and applying
+    it to both sides, which preserves correspondence by construction
+    regardless of export correctness.  Generated addresses and register
+    values stay within a couple of 16MB blocks so executed instruction
+    soup cannot allocate pages all over the 4GB space; a page-count valve
+    rebuilds the pool if arithmetic drift escapes the domain anyway, and
+    periodic resets bound the touched-set size (the recognizer is a
+    genuine O(n) scan).
     """
 
     BLOCKS = (0, 1)
@@ -508,7 +498,7 @@ class Y86Cases(CaseSource):
 
     def draw(self, export_name, rng):
         if (self._pair is not None
-                and self._pair[0].mem.pages_allocated() > self.PAGE_VALVE):
+                and self._pair[0]._mem.pages_allocated() > self.PAGE_VALVE):
             self._pair = None
         return super().draw(export_name, rng)
 
@@ -518,36 +508,29 @@ class Y86Cases(CaseSource):
     def _evolve(self, concrete, abstract, rng):
         op = rng.randrange(8)
         if op <= 1:
-            addr, v = self._addr(rng), rng.getrandbits(8)
-            concrete.write_byte(addr, v)
-            abstract.write_byte(addr, v)
+            updates = [(Machine.write_byte,
+                        (self._addr(rng), rng.getrandbits(8)))]
         elif op == 2:
-            i, v = rng.randrange(8), self._value(rng)
-            concrete.set_reg(i, v)
-            abstract.set_reg(i, v)
+            updates = [(Machine.set_reg, (rng.randrange(8), self._value(rng)))]
         elif op == 3:
-            v = self._addr(rng)
-            concrete.set_eip(v)
-            abstract.set_eip(v)
+            updates = [(Machine.set_eip, (self._addr(rng),))]
         elif op == 4:
-            fl = Flags(rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1))
-            concrete.set_flags(fl)
-            abstract.set_flags(fl)
+            updates = [(Machine.set_flags, (Flags(
+                rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1)),))]
         elif op == 5:
             st = Status.AOK if rng.random() < 0.75 else rng.choice(
                 (Status.HLT, Status.INS))
-            concrete.set_status(st)
-            abstract.set_status(st)
+            updates = [(Machine.set_status, (st,))]
         else:
             # Plant a valid instruction at eip so step/run do real work.
             raw = encode(_random_instruction(rng, self._value))
-            for k, byte in enumerate(raw):
-                addr = (concrete.eip + k) & MASK32
-                concrete.write_byte(addr, byte)
-                abstract.write_byte(addr, byte)
+            updates = [(Machine.write_byte, ((concrete.eip + k) & MASK32, b))
+                       for k, b in enumerate(raw)]
             if rng.random() < 0.9:
-                concrete.set_status(Status.AOK)
-                abstract.set_status(Status.AOK)
+                updates.append((Machine.set_status, (Status.AOK,)))
+        for machine in (concrete, abstract):
+            for update, args in updates:
+                update(machine, *args)
         return abstract
 
     def _args_for(self, name, rng, abstract):

@@ -67,7 +67,8 @@ class Machine:
         into it through `Image.load`.
 
         Registers and flags start at zero and status at AOK; `esp`, when
-        given, initializes the stack pointer register.
+        given, initializes the stack pointer register.  An `eip` or `esp`
+        that is not 32-bit raises ValueError before `mem` is written.
         """
         self.regs = [0] * 8
         self._updates = 0
@@ -75,9 +76,9 @@ class Machine:
         self._icache: dict[int, tuple[Instruction, int]] = {}
         self._icache_bytes: dict[int, int] = {}
         self._step_writes: set[int] | None = None
-        if image is not None:
-            mem = image.load(mem)
         self.reload(mem, eip=eip, esp=esp)
+        if image is not None:
+            self._mem = image.load(mem)
 
     # -- observers ---------------------------------------------------------
 

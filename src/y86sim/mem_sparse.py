@@ -48,26 +48,19 @@ class SparseMemory:
 
     def write(self, addr: int, value: int) -> "SparseMemory":
         """Return a memory with `addr` bound to `value` (unbound when 0)."""
-        if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
-        if not 0 <= value <= 0xFF:
-            raise ValueOutOfRange(f"value {value} not a byte")
-        entries = self._entries
-        if entries.get(addr, 0) == value:
+        if 0 <= addr < MEM_SIZE and self._entries.get(addr, 0) == value:
             return self
-        new = dict(entries)
-        if value:
-            new[addr] = value
-        else:
-            del new[addr]
-        return SparseMemory._from_raw(new)
+        new = SparseMemory._from_raw(dict(self._entries))
+        new._store(addr, value)
+        return new
 
     def _store(self, addr: int, value: int) -> None:
         """Bind `addr` to `value` (unbind when 0) in place.
 
         Only for a memory no other reference can observe: one that the
         caller's own `write` returned as a new value and that it has not
-        handed out since.  Checks `addr` and `value` as `write` does.
+        handed out since.  Holds the address and byte checks and the
+        canonical-form rule for `write` too.
         """
         if not 0 <= addr < MEM_SIZE:
             raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")

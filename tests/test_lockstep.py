@@ -18,7 +18,6 @@ from y86sim.lockstep import (
     DemoCases,
     DualState,
     EvenMap,
-    Export,
     LockstepSpec,
     OneField,
     SlotStore,
@@ -30,6 +29,7 @@ from y86sim.lockstep import (
     unsound_const_demo,
     y86_spec,
 )
+from y86sim.machine import correspondence
 from y86sim.mem_paged import PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
@@ -149,22 +149,28 @@ def test_unprotected_double_update_raises():
     assert "change-fld" in str(err.value)
 
 
-def test_declared_multi_update_rejected_at_registration():
-    with pytest.raises(AtomicityViolation):
-        LockstepSpec(
-            name="bad",
-            recognizer_logic=lambda a: True,
-            creator_logic=lambda: 0,
-            creator_exec=OneField,
-            corr=lambda c, a: True,
-            exports=(Export(
-                "double", "updater",
-                logic_fn=lambda a: 0,
-                exec_fn=lambda c: None,
-                guard=lambda a: True,
-                declared_updater_calls=2,
-            ),),
-        )
+def _demo_with_writing_reader(protect):
+    """demo_spec() whose `lookup` stores the slot it reads back into it."""
+    def lookup_exec(c, k):
+        c.set_slot(k, c.slots[k])
+        return c.slots[k]
+
+    spec = demo_spec()
+    return dataclasses.replace(spec, exports=tuple(
+        dataclasses.replace(e, exec_fn=lookup_exec, protect=protect)
+        if e.name == "lookup" else e for e in spec.exports))
+
+
+@pytest.mark.parametrize("mode", ["check", "fast"])
+def test_reader_is_held_to_no_updates_unless_protected(mode):
+    dual = DualState(_demo_with_writing_reader(protect=False), mode=mode)
+    with pytest.raises(AtomicityViolation,
+                       match="export 'lookup' performed 1 primitive updates "
+                             "but is not marked protect"):
+        dual.invoke("lookup", 3)
+    protected = DualState(_demo_with_writing_reader(protect=True), mode=mode)
+    assert protected.invoke("lookup", 3) == 0
+    assert not protected.poisoned
 
 
 def test_protected_abort_poisons_state():
@@ -345,6 +351,29 @@ def test_dual_invariant_over_random_sequences():
             _, _, args = source.draw(export.name, rng)
             dual.invoke(export.name, *args)
         assert dual.recognizer(audit=True)
+
+
+def test_y86_recognizer_keeps_the_abstract_machine_owning_its_memory(
+        sparse_writes):
+    spec = y86_spec()
+    a = spec.creator_logic()
+    a.write_byte(0, 1)
+    assert spec.recognizer_logic(a)
+    a.write_byte(1, 2)  # stored in place: no second new memory
+    assert sparse_writes == [0]
+
+
+def test_y86_pool_pairs_correspond_and_are_recognized():
+    spec = y86_spec()
+    source = Y86Cases()
+    names = [e.name for e in spec.exports]
+    rng = random.Random(3)
+    for i in range(2000):
+        c, a, _ = source.draw(names[i % len(names)], rng)
+        assert correspondence(c, a) is None, i
+        assert spec.recognizer_logic(a), i
+        if i % 41 == 40:
+            source.mark_failure()
 
 
 # ---------------------------------------------------------------------------

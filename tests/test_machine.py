@@ -412,6 +412,11 @@ def test_reload_rejects_out_of_range_registers_like_init(where):
         m.reload(SparseMemory(), **where)
     # A rejected reload changes nothing.
     assert m.mem is mem and m.eip == 0x10 and m.regs[ESP] == 8192
+    # A rejected init writes no image byte into the caller's memory.
+    paged = PagedMemory()
+    with pytest.raises(ValueError, match="32-bit"):
+        Machine(paged, image=asm.Image([(0, 0x30)]), **where)
+    assert paged.pages_allocated() == 0
 
 
 
