@@ -358,6 +358,7 @@ def _y86_recognizer(a) -> bool:
         and len(a.regs) == 8
         and all(_n32(v) for v in a.regs)
         and _n32(a.eip)
+        and all(f in (0, 1) for f in (a.zf, a.sf, a.of))
         and isinstance(a.status, Status)
     )
 

@@ -5,12 +5,12 @@ The memory backend is anything with `read(addr) -> byte` and
 itself, the sparse backend returns a new value.  A backend whose `write`
 can return a new value also provides `_store(addr, byte)`, which updates
 that value in place.  A machine whose own `write` returned a new memory
-owns it: no other reference can observe it, so later stores go through
-`_store` and cost O(1), as a single-threaded stobj is updated
-destructively.  Ownership ends whenever the memory is handed out, through
-`mem`, `copy` or `reload`, so every memory a caller can reach stays
-unchanged.  A machine is single-writer; distinct machines may run on
-distinct threads.
+owns it, and so does a machine whose image load returned a new memory:
+no other reference can observe it, so later stores go through `_store`
+and cost O(1), as a single-threaded stobj is updated destructively.
+Ownership ends whenever the memory is handed out, through `mem`, `copy`
+or `reload`, so every memory a caller can reach stays unchanged.  A
+machine is single-writer; distinct machines may run on distinct threads.
 
 Decoded instructions are cached by address.  An entry holds the
 `Instruction` and its fall-through address, the eip after it masked to
@@ -44,7 +44,7 @@ from .isa import (
     decode,
     format_instruction,
 )
-from .mem_paged import SENTINEL, PagedMemory
+from .mem_paged import PagedMemory
 from .mem_sparse import SparseMemory
 
 __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
@@ -64,7 +64,8 @@ class Machine:
 
     def __init__(self, mem, *, eip=0, esp=None, image=None):
         """Create a machine over `mem` with `image`, an `asm.Image`, loaded
-        into it through `Image.load`.
+        into it through `Image.load`; a new memory that the load returns
+        is the machine's own, since nothing else can reach it.
 
         Registers and flags start at zero and status at AOK; `esp`, when
         given, initializes the stack pointer register.  An `eip` or `esp`
@@ -79,6 +80,7 @@ class Machine:
         self.reload(mem, eip=eip, esp=esp)
         if image is not None:
             self._mem = image.load(mem)
+            self._owns_mem = self._mem is not mem
 
     # -- observers ---------------------------------------------------------
 
@@ -436,8 +438,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             mem = concrete._mem
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
-                blocks = [top << 24 for top, base in enumerate(mem.table)
-                          if base != SENTINEL]
+                blocks = mem.blocks()
             # The top byte of each draw picks a block, the rest an offset.
             probes = ([blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
                        for x in map(getrandbits, [32] * _PROBES_PER_STEP)]

@@ -80,17 +80,17 @@ class PagedMemory:
         return self
 
     def wellformed(self) -> bool:
-        """The memory invariant: table, array and cursor are consistent,
-        and the array ends at the cursor."""
+        """The memory invariant as one equation: with `bases` the allocated
+        table entries, the cursor is the array's length and one page per
+        base, and the sorted bases are the page offsets below the cursor."""
         bases = [e for e in self.table if e != SENTINEL]
-        return (
-            all(e & _OFFSET_MASK == 0 for e in bases)
-            and all(e < self.next_addr for e in bases)
-            and len(set(bases)) == len(bases)
-            and self.next_addr % PAGE_SIZE == 0
-            and self.next_addr == len(self.array)
-            and self.next_addr // PAGE_SIZE == len(bases)
-        )
+        return (self.next_addr == len(self.array) == PAGE_SIZE * len(bases)
+                and sorted(bases) == list(range(0, self.next_addr, PAGE_SIZE)))
+
+    def blocks(self) -> list[int]:
+        """The first address of each allocated block, lowest first."""
+        return [top << 24 for top, base in enumerate(self.table)
+                if base != SENTINEL]
 
     def pages_allocated(self) -> int:
         return self.next_addr // PAGE_SIZE

@@ -24,15 +24,9 @@ class SparseMemory:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[int, int] = {}):
-        store: dict[int, int] = {}
+        self._entries = {}
         for addr, value in entries.items():
-            if not 0 <= addr < MEM_SIZE:
-                raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
-            if not 0 <= value <= 0xFF:
-                raise ValueOutOfRange(f"value {value} not a byte")
-            if value:
-                store[addr] = value
-        self._entries = store
+            self._store(addr, value)
 
     @classmethod
     def _from_raw(cls, entries: dict[int, int]) -> "SparseMemory":
@@ -57,10 +51,10 @@ class SparseMemory:
     def _store(self, addr: int, value: int) -> None:
         """Bind `addr` to `value` (unbind when 0) in place.
 
-        Only for a memory no other reference can observe: one that the
-        caller's own `write` returned as a new value and that it has not
-        handed out since.  Holds the address and byte checks and the
-        canonical-form rule for `write` too.
+        Only for a memory no other reference can observe: one being built,
+        or one the caller's own `write` returned as a new value and has
+        not handed out since.  Holds the address and byte checks and the
+        canonical-form rule for `__init__` and `write` too.
         """
         if not 0 <= addr < MEM_SIZE:
             raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")

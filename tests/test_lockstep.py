@@ -338,6 +338,31 @@ def test_y86_malformed_memory_is_caught_by_preservation_alone():
         DualState(variant).invoke("!memi", 0x10, 5)
 
 
+def test_y86_flags_that_are_not_bits_are_caught_by_preservation_alone():
+    # This !eip also sets zf to 2 on both sides.  The pair corresponds,
+    # since both hold the same flags; the recognizer, checked as the
+    # PRESERVED obligation, rejects a flag that is not a bit.
+    spec = y86_spec()
+
+    def set_eip_and_bad_zf(m, v):
+        m.set_eip(v)
+        m.zf = 2
+
+    def logic(a, v):
+        m = a.copy()
+        set_eip_and_bad_zf(m, v)
+        return m
+
+    exports = tuple(
+        dataclasses.replace(e, logic_fn=logic, exec_fn=set_eip_and_bad_zf)
+        if e.name == "!eip" else e
+        for e in spec.exports)
+    variant = dataclasses.replace(spec, name="y86[zf-2]", exports=exports)
+    report = check_obligations(variant, Y86Cases(), n_cases=40, seed=5)
+    assert report.outcome("!eip{PRESERVED}").failures
+    assert not report.outcome("!eip{CORRESPONDENCE}").failures
+
+
 def test_dual_invariant_over_random_sequences():
     # Arbitrary guard-satisfying call sequences keep the pair in
     # correspondence (every invoke checks it) and the recognizer audited.

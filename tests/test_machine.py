@@ -781,19 +781,24 @@ WORD_LOOP = (
 
 
 def test_sparse_run_writes_one_new_memory(sparse_writes):
+    # The image load made the machine's memory, so the machine owns it
+    # from the start: every store of the run goes through `_store`, and
+    # none copies the loaded map.
     m, _ = machine_from(WORD_LOOP)
     sparse_writes.clear()
     m.run(10_000)
     assert m.status is Status.HLT
-    assert sparse_writes == [0x100000]
+    assert sparse_writes == []
     assert {a for a in m.mem.touched() if a >= 0x100000} \
         == set(range(0x100000, 0x100400))
     assert m.read_word(0x100000 + 4 * 255) == 0x11223344
 
 
 def test_lockstep_abstract_side_writes_one_new_memory(sparse_writes):
+    # As above: the abstract machine owns the memory its image load made,
+    # and the lockstep checks never hand it out, so no store copies it.
     concrete, abstract = lockstep_pair(WORD_LOOP)
     sparse_writes.clear()
     report = run_in_lockstep(concrete, abstract, 10_000, seed=2)
     assert abstract.status is Status.HLT and report.steps == 4 * 256 + 6
-    assert sparse_writes == [0x100000]
+    assert sparse_writes == []

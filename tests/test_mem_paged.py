@@ -102,12 +102,27 @@ def test_wellformed_violations_by_construction():
     mem.table[1] = mem.table[0]  # duplicate base
     assert not mem.wellformed()
 
+    mem = PagedMemory()
+    mem.write(0, 7)
+    mem.write(block_addr(1, 0), 9)
+    mem.table[0] = -PAGE_SIZE  # negative base, aliasing block 1's page
+    assert mem.read(0) == 9
+    assert not mem.wellformed()
+
 
 def test_wellformed_rejects_backing_past_the_cursor():
     mem = PagedMemory()
     mem.write(0, 3)
     mem.array += bytes(PAGE_SIZE)  # a page no block owns
     assert not mem.wellformed()
+
+
+def test_blocks_lists_allocated_blocks_lowest_first():
+    mem = PagedMemory()
+    assert mem.blocks() == []
+    for block in (200, 7, 0):
+        mem.add_page(block)
+    assert mem.blocks() == [0, 7 << 24, 200 << 24]
 
 
 def test_pages_allocated_examples():

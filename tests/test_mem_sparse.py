@@ -61,9 +61,10 @@ def test_touched():
 
 def test_constructor_canonicalizes_and_validates():
     assert SparseMemory({7: 0}) == SparseMemory()
-    with pytest.raises(AddressOutOfRange):
+    with pytest.raises(AddressOutOfRange,
+                       match="^address 0x100000000 not a 32-bit address$"):
         SparseMemory({MEM_SIZE: 1})
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(ValueOutOfRange, match="^value 256 not a byte$"):
         SparseMemory({3: 256})
 
 
