@@ -475,6 +475,9 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
                 source.mark_failure()
             elif export.kind == "updater":
                 source.advance(new_abstract)
+            # The pool may rebuild on the next draw; hold no machine of
+            # this case past it.
+            del concrete, abstract, pristine, new_abstract
 
         outcomes.append(corr_out)
         if pres_out is not None:

@@ -5,9 +5,19 @@ storage is appended to the flat array the first time the block is
 written; the table maps block number to the block's base offset in the
 array, with a sentinel for not-yet-allocated blocks.  Reads of absent
 blocks return 0 and never allocate.
+
+The flat array is a private anonymous mapping, grown in place by one
+block per allocation (`mmap.resize`, which is `mremap` on Linux).  The
+kernel supplies its pages lazily: a byte never written reads 0 and takes
+no resident memory, so a new block costs no 16MB zero-fill.  Growth needs
+a resizable anonymous mapping: on a system without `mremap`, growing past
+the first block raises `AllocationFailure`, as does any mapping the OS
+refuses.
 """
 
 from __future__ import annotations
+
+import mmap
 
 from .errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
 from .isa import MEM_SIZE
@@ -20,7 +30,10 @@ PAGE_SIZE = 1 << 24
 SENTINEL = 1
 
 _OFFSET_MASK = PAGE_SIZE - 1
-_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def _mapping(size: int) -> mmap.mmap:
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 class PagedMemory:
@@ -34,7 +47,7 @@ class PagedMemory:
     __slots__ = ("table", "array", "next_addr", "update_count")
 
     def __init__(self):
-        self.array = bytearray()
+        self.array = b""  # no blocks, no mapping
         self.table = [SENTINEL] * TABLE_SIZE
         self.next_addr = 0
         self.update_count = 0
@@ -61,15 +74,19 @@ class PagedMemory:
 
     def add_page(self, top: int) -> "PagedMemory":
         """Allocate block `top` as one zero page appended at the cursor,
-        which is always the end of the array."""
+        which is always the end of the array: the first block maps the
+        array, each later one grows the mapping in place."""
         if not 0 <= top < TABLE_SIZE:
             raise AddressOutOfRange(f"block number {top} not in 0..255")
         if self.table[top] != SENTINEL:
             raise ValueError(f"block {top} already allocated")
         base = self.next_addr
         try:
-            self.array += _ZERO_PAGE
-        except MemoryError as exc:
+            if base:
+                self.array.resize(base + PAGE_SIZE)
+            else:
+                self.array = _mapping(PAGE_SIZE)
+        except (OSError, MemoryError, SystemError) as exc:
             raise AllocationFailure(
                 f"cannot grow array to {base + PAGE_SIZE} bytes") from exc
         self.update_count += 1
@@ -98,7 +115,11 @@ class PagedMemory:
     def copy(self) -> "PagedMemory":
         new = object.__new__(PagedMemory)
         new.table = list(self.table)
-        new.array = bytearray(self.array)
+        if self.array:
+            new.array = _mapping(len(self.array))
+            new.array[:] = self.array
+        else:
+            new.array = b""
         new.next_addr = self.next_addr
         new.update_count = self.update_count
         return new

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import weakref
 
 import pytest
 
@@ -29,7 +30,7 @@ from y86sim.lockstep import (
     unsound_const_demo,
     y86_spec,
 )
-from y86sim.machine import correspondence
+from y86sim.machine import Machine, correspondence
 from y86sim.mem_paged import PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
@@ -399,6 +400,32 @@ def test_y86_pool_pairs_correspond_and_are_recognized():
         assert spec.recognizer_logic(a), i
         if i % 41 == 40:
             source.mark_failure()
+
+
+def test_y86_suite_holds_no_machine_of_the_previous_case_at_the_next_draw():
+    class WeakMachine(Machine):
+        __slots__ = ("__weakref__",)
+
+    class ResetEveryDraw(Y86Cases):
+        """Drops its pool at each draw, then asserts that the previous
+        case's two machines died with it."""
+
+        previous = ()
+
+        def _fresh(self):
+            return [WeakMachine(PagedMemory()), WeakMachine(SparseMemory())]
+
+        def draw(self, export_name, rng):
+            self._pair = None
+            assert all(ref() is None for ref in self.previous)
+            concrete, abstract, args = super().draw(export_name, rng)
+            self.previous = (weakref.ref(concrete), weakref.ref(abstract))
+            return concrete, abstract, args
+
+    source = ResetEveryDraw()
+    report = check_obligations(y86_spec(), source, n_cases=20, seed=4)
+    assert report.ok, report.to_text()
+    assert source._drawn == 20 * len(y86_spec().exports)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Paged memory: allocation traces, the memory invariant, and oracles."""
 
+import errno
+import mmap
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from y86sim.errors import AddressOutOfRange, ValueOutOfRange
+from y86sim.errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
 from y86sim.mem_paged import (
     MEM_SIZE,
     PAGE_SIZE,
@@ -113,7 +116,7 @@ def test_wellformed_violations_by_construction():
 def test_wellformed_rejects_backing_past_the_cursor():
     mem = PagedMemory()
     mem.write(0, 3)
-    mem.array += bytes(PAGE_SIZE)  # a page no block owns
+    mem.array.resize(2 * PAGE_SIZE)  # a page no block owns
     assert not mem.wellformed()
 
 
@@ -219,3 +222,108 @@ def test_copy_is_independent():
     dup.write(10, 2)
     assert mem.read(10) == 1
     assert dup.read(10) == 2
+
+
+def test_copy_of_an_empty_memory_is_empty():
+    dup = PagedMemory().copy()
+    assert len(dup.array) == 0 and dup.wellformed()
+    dup.write(5, 1)
+    assert dup.read(5) == 1 and dup.wellformed()
+
+
+def test_copy_taken_midway_stays_independent_while_both_grow():
+    mem = PagedMemory()
+    for top in (4, 1, 9):
+        mem.write(block_addr(top, 77), top)
+    dup = mem.copy()
+    assert dup.array is not mem.array
+    for top in (30, 2):
+        mem.write(block_addr(top, 5), 0xA0 | top)
+    mem.write(block_addr(4, 77), 0xEE)
+    for top in (60, 3, 200):
+        dup.write(block_addr(top, PAGE_SIZE - 1), 0xB0 | top & 0xF)
+    dup.write(block_addr(9, 77), 0xDD)
+
+    assert mem.blocks() == [block_addr(t, 0) for t in (1, 2, 4, 9, 30)]
+    assert dup.blocks() == [block_addr(t, 0) for t in (1, 3, 4, 9, 60, 200)]
+    assert [mem.read(block_addr(t, 77)) for t in (1, 4, 9)] == [1, 0xEE, 9]
+    assert [dup.read(block_addr(t, 77)) for t in (1, 4, 9)] == [1, 4, 0xDD]
+    assert [mem.read(block_addr(t, 5)) for t in (30, 2)] == [0xBE, 0xA2]
+    assert [dup.read(block_addr(t, 5)) for t in (30, 2)] == [0, 0]
+    assert [dup.read(block_addr(t, PAGE_SIZE - 1)) for t in (60, 3, 200)] \
+        == [0xBC, 0xB3, 0xB8]
+    assert [mem.read(block_addr(t, PAGE_SIZE - 1)) for t in (60, 3, 200)] \
+        == [0, 0, 0]
+    assert mem.wellformed() and dup.wellformed()
+
+
+def test_every_written_byte_reads_back_after_each_growth():
+    blocks = list(range(0, TABLE_SIZE, 13))
+    assert len(blocks) == 20
+    random.Random(15).shuffle(blocks)
+    mem = PagedMemory()
+    written = {}
+    for i, top in enumerate(blocks):
+        written[block_addr(top, 0)] = i + 1
+        written[block_addr(top, PAGE_SIZE - 1)] = 0xFF - i
+        mem.write(block_addr(top, 0), i + 1)
+        mem.write(block_addr(top, PAGE_SIZE - 1), 0xFF - i)
+        assert {addr: mem.read(addr) for addr in written} == written
+        assert mem.read(block_addr(top, PAGE_SIZE // 2)) == 0
+        assert mem.wellformed()
+    assert mem.pages_allocated() == 20
+
+
+def _refused():
+    return OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+
+def _state(mem):
+    return (list(mem.table), mem.next_addr, mem.update_count,
+            len(mem.array), mem.wellformed())
+
+
+def test_a_refused_first_mapping_is_an_allocation_failure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _refused()
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    mem = PagedMemory()
+    before = _state(mem)
+    with pytest.raises(AllocationFailure,
+                       match=f"^cannot grow array to {PAGE_SIZE} bytes$"):
+        mem.add_page(3)
+    assert _state(mem) == before
+    with pytest.raises(AllocationFailure):
+        mem.write(block_addr(3, 0), 1)
+    assert _state(mem) == before
+
+
+def test_a_refused_growth_is_an_allocation_failure(monkeypatch):
+    class RefusingResize(mmap.mmap):
+        refuse = False
+
+        def resize(self, size):
+            if RefusingResize.refuse:
+                raise _refused()
+            return super().resize(size)
+
+    monkeypatch.setattr(mmap, "mmap", RefusingResize)
+    mem = PagedMemory()
+    mem.write(block_addr(5, 1), 0x51)
+    mem.write(block_addr(9, 2), 0x92)
+    RefusingResize.refuse = True
+    before = _state(mem)
+    with pytest.raises(AllocationFailure,
+                       match=f"^cannot grow array to {3 * PAGE_SIZE} bytes$"):
+        mem.add_page(200)
+    assert _state(mem) == before
+    with pytest.raises(AllocationFailure):
+        mem.write(block_addr(200, 0), 1)
+    assert _state(mem) == before
+    assert (mem.read(block_addr(5, 1)), mem.read(block_addr(9, 2))) \
+        == (0x51, 0x92)
+
+    RefusingResize.refuse = False
+    mem.write(block_addr(200, 3), 0x23)
+    assert mem.read(block_addr(200, 3)) == 0x23 and mem.wellformed()
