@@ -312,22 +312,10 @@ class Image:
         return self._pairs == other._pairs
 
     def load(self, mem):
-        """Write every image byte into `mem`; returns the loaded memory.
-
-        Bytes go through the backend's `write` until it returns a new
-        value, as a sparse memory's does.  That value is reachable from
-        nowhere else, so the remaining bytes are stored into it in place
-        with `_store`, and loading n bytes costs O(n), not O(n^2).  `mem`
-        itself is never changed unless its `write` changes it in place.
-        """
-        owned = False
+        """Write every image byte into `mem` through its `write`; returns
+        the loaded memory, for a sparse `mem` a new version of it."""
         for addr, byte in self._pairs:
-            if owned:
-                mem._store(addr, byte)
-            else:
-                new = mem.write(addr, byte)
-                owned = new is not mem
-                mem = new
+            mem = mem.write(addr, byte)
         return mem
 
     def to_text(self, symbols: dict[str, int] | None = None) -> str:

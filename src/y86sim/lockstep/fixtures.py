@@ -353,8 +353,8 @@ def _n32(x) -> bool:
 def _y86_recognizer(a) -> bool:
     return (
         isinstance(a, Machine)
-        and isinstance(a._mem, SparseMemory)
-        and a._mem.wellformed()
+        and isinstance(a.mem, SparseMemory)
+        and a.mem.wellformed()
         and len(a.regs) == 8
         and all(_n32(v) for v in a.regs)
         and _n32(a.eip)
@@ -499,7 +499,7 @@ class Y86Cases(CaseSource):
 
     def draw(self, export_name, rng):
         if (self._pair is not None
-                and self._pair[0]._mem.pages_allocated() > self.PAGE_VALVE):
+                and self._pair[0].mem.pages_allocated() > self.PAGE_VALVE):
             self._pair = None
         return super().draw(export_name, rng)
 

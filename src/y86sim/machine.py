@@ -1,16 +1,11 @@
 """Y86 processor model: machine state, step and run, over either memory.
 
 The memory backend is anything with `read(addr) -> byte` and
-`write(addr, byte) -> memory`; the paged backend mutates and returns
-itself, the sparse backend returns a new value.  A backend whose `write`
-can return a new value also provides `_store(addr, byte)`, which updates
-that value in place.  A machine whose own `write` returned a new memory
-owns it, and so does a machine whose image load returned a new memory:
-no other reference can observe it, so later stores go through `_store`
-and cost O(1), as a single-threaded stobj is updated destructively.
-Ownership ends whenever the memory is handed out, through `mem`, `copy`
-or `reload`, so every memory a caller can reach stays unchanged.  A
-machine is single-writer; distinct machines may run on distinct threads.
+`write(addr, byte) -> memory`, and a machine keeps whatever `write`
+returns: the paged backend mutates and returns itself, the sparse backend
+returns a new version in O(1) and leaves every version a caller holds
+unchanged.  A machine is single-writer; distinct machines may run on
+distinct threads unless they share a sparse history (see `mem_sparse`).
 
 Decoded instructions are cached by address.  An entry holds the
 `Instruction` and its fall-through address, the eip after it masked to
@@ -57,15 +52,14 @@ class Machine:
     """Registers, instruction pointer, flags, status, and a memory backend."""
 
     __slots__ = (
-        "regs", "eip", "zf", "sf", "of", "status", "_mem", "_owns_mem",
+        "regs", "eip", "zf", "sf", "of", "status", "mem",
         "_updates", "icache_clears",
         "_icache", "_icache_bytes", "_step_writes",
     )
 
     def __init__(self, mem, *, eip=0, esp=None, image=None):
         """Create a machine over `mem` with `image`, an `asm.Image`, loaded
-        into it through `Image.load`; a new memory that the load returns
-        is the machine's own, since nothing else can reach it.
+        into it through `Image.load`.
 
         Registers and flags start at zero and status at AOK; `esp`, when
         given, initializes the stack pointer register.  An `eip` or `esp`
@@ -79,22 +73,9 @@ class Machine:
         self._step_writes: set[int] | None = None
         self.reload(mem, eip=eip, esp=esp)
         if image is not None:
-            self._mem = image.load(mem)
-            self._owns_mem = self._mem is not mem
+            self.mem = image.load(mem)
 
     # -- observers ---------------------------------------------------------
-
-    @property
-    def mem(self):
-        """The memory backend.  Reading it hands the memory out, so the
-        machine's next store no longer writes into it in place."""
-        self._owns_mem = False
-        return self._mem
-
-    @mem.setter
-    def mem(self, mem) -> None:
-        self._mem = mem
-        self._owns_mem = False
 
     @property
     def flags(self) -> Flags:
@@ -109,7 +90,7 @@ class Machine:
         `protect`ed exports, so the atomicity protocol never reads a
         delta across them.
         """
-        return self._updates + getattr(self._mem, "update_count", 0)
+        return self._updates + getattr(self.mem, "update_count", 0)
 
     # -- counted single-field updaters --------------------------------------
 
@@ -138,7 +119,7 @@ class Machine:
     # -- memory access -------------------------------------------------------
 
     def read_byte(self, addr: int) -> int:
-        return self._mem.read(addr & MASK32)
+        return self.mem.read(addr & MASK32)
 
     def write_byte(self, addr: int, value: int) -> None:
         addr &= MASK32
@@ -148,17 +129,10 @@ class Machine:
             self.icache_clears += 1
         if self._step_writes is not None:
             self._step_writes.add(addr)
-        if self._owns_mem:
-            self._mem._store(addr, value)
-        else:
-            mem = self._mem
-            new = mem.write(addr, value)
-            if new is not mem:   # a new value nothing else can reach
-                self._mem = new
-                self._owns_mem = True
+        self.mem = self.mem.write(addr, value)
 
     def read_word(self, addr: int) -> int:
-        rd = self._mem.read
+        rd = self.mem.read
         return (rd(addr & MASK32)
                 | rd((addr + 1) & MASK32) << 8
                 | rd((addr + 2) & MASK32) << 16
@@ -228,7 +202,7 @@ class Machine:
         self.eip = nxt  # all a NOP does
 
     def _fetch_decode(self, eip):
-        rd = self._mem.read
+        rd = self.mem.read
         window = bytes(rd((eip + k) & MASK32) for k in range(6))
         try:
             instr, length = decode(window, 0)
@@ -278,18 +252,13 @@ class Machine:
     # -- lifecycle -----------------------------------------------------------
 
     def copy(self) -> "Machine":
-        """Independent machine with equal state.
-
-        A sparse memory is shared, so neither machine owns it afterwards:
-        the next store on either side writes a new memory.
-        """
+        """Independent machine with equal state; a sparse memory is shared."""
         new = object.__new__(Machine)
         new.regs = list(self.regs)
         new.eip = self.eip
         new.zf, new.sf, new.of = self.zf, self.sf, self.of
         new.status = self.status
-        new._mem = self._mem.copy()
-        new._owns_mem = self._owns_mem = False
+        new.mem = self.mem.copy()
         new._updates = self._updates
         new.icache_clears = self.icache_clears
         new._icache = dict(self._icache)
@@ -318,8 +287,7 @@ class Machine:
             self._icache.clear()
             spans.clear()
             self.icache_clears += 1
-        self._mem = mem
-        self._owns_mem = False
+        self.mem = mem
         self.regs[:] = [0] * 8
         if esp is not None:
             self.regs[ESP] = esp
@@ -329,7 +297,7 @@ class Machine:
 
     def __repr__(self) -> str:
         return (f"Machine(eip={self.eip:#x}, status={self.status.value}, "
-                f"mem={self._mem!r})")
+                f"mem={self.mem!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +335,7 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
                   ("status", c.status.value, a.status.value)]
         field, got, want = next(f for f in fields if f[1] != f[2])
         return f"{field} is {got} concrete vs {want} abstract"
-    cread, aread = c._mem.read, a._mem.read
+    cread, aread = c.mem.read, a.mem.read
     for addr in addrs:
         if cread(addr) != aread(addr):
             return (f"memory at {addr:#x} is {cread(addr):#04x} concrete vs "
@@ -381,14 +349,14 @@ def correspondence(concrete, abstract):
     none at the addresses the sparse memory holds or in `_FIXED_PROBES`.
     The sparse side's recognizer is not part of it."""
     if not (isinstance(concrete, Machine)
-            and isinstance(concrete._mem, PagedMemory)
+            and isinstance(concrete.mem, PagedMemory)
             and isinstance(abstract, Machine)
-            and isinstance(abstract._mem, SparseMemory)):
+            and isinstance(abstract.mem, SparseMemory)):
         return "the pair is not a paged machine and a sparse one"
-    if not concrete._mem.wellformed():
+    if not concrete.mem.wellformed():
         return "the paged memory is not wellformed()"
     return mismatch(concrete, abstract,
-                    [*abstract._mem.touched(), *_FIXED_PROBES])
+                    [*abstract.mem.touched(), *_FIXED_PROBES])
 
 
 def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:
@@ -415,9 +383,9 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     """
     if n < 0:
         raise ValueError("step budget must be a natural number")
-    if not isinstance(abstract._mem, SparseMemory):
+    if not isinstance(abstract.mem, SparseMemory):
         raise TypeError("abstract machine must use a sparse memory backend")
-    if not isinstance(concrete._mem, PagedMemory):
+    if not isinstance(concrete.mem, PagedMemory):
         raise TypeError("concrete machine must use a paged memory backend")
     getrandbits = random.Random(seed).getrandbits
     recent = deque(maxlen=_RECENT_STEPS)
@@ -435,7 +403,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
                 abstract.step()
             else:
                 trace(abstract.traced_step(steps))
-            mem = concrete._mem
+            mem = concrete.mem
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
                 blocks = mem.blocks()
@@ -454,5 +422,5 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     if difference is not None:
         raise _divergence(f"in the final sweep after step {steps}", difference,
                           recent)
-    checked += len(abstract._mem) + len(_FIXED_PROBES)
+    checked += len(abstract.mem) + len(_FIXED_PROBES)
     return LockstepReport(steps=steps, addresses_checked=checked)

@@ -1,12 +1,17 @@
 """Canonical sparse byte memory: a finite map from address to nonzero byte.
 
-Values are immutable; `write` returns a new memory.  Because zero-valued
-writes delete their key, structural equality coincides with extensional
-equality: two memories reading the same everywhere are equal as values.
-The one exception is `_store`, which updates in place a memory that only
-its caller can reach (see `_store`); every memory a caller can reach
-through the public API stays unchanged.
-"""
+Values are persistent: `write` returns a new memory, and every memory a
+caller holds reads as it did.  Zero-valued writes delete their key, so
+structural equality coincides with extensional equality.
+
+The versions that writes derive from one memory form a history sharing one
+dict, by version-tree rerooting (Baker 1991; Conchon and Filliatre 2007).
+The holder keeps the dict; each other version is an undo record: an
+address, its byte there, and the next version towards the holder.  `write` on the holder is O(1); any other use
+of a version first reroots the history at it, reversing the records on
+the way, at O(distance) cost.  So a held version keeps the record of every
+later write until it is dropped or used, and one history is used from one
+thread at a time; `SparseMemory(dict(mem.items()))` is an independent one."""
 
 from __future__ import annotations
 
@@ -17,79 +22,108 @@ from .isa import MEM_SIZE
 
 __all__ = ["MEM_SIZE", "SparseMemory"]
 
+_new = object.__new__
+
+
+def _check(addr: int, value: int) -> None:
+    if not 0 <= addr < MEM_SIZE:
+        raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
+    if not 0 <= value <= 0xFF:
+        raise ValueOutOfRange(f"value {value} not a byte")
+
 
 class SparseMemory:
     """Byte-addressed 2^32 memory storing only non-default (nonzero) bytes."""
 
-    __slots__ = ("_entries",)
+    # `_data` is None on a record; `__weakref__` lets tests watch one die.
+    __slots__ = ("_data", "_addr", "_old", "_next", "__weakref__")
 
     def __init__(self, entries: Mapping[int, int] = {}):
-        self._entries = {}
         for addr, value in entries.items():
-            self._store(addr, value)
+            _check(addr, value)
+        self._data = {addr: value for addr, value in entries.items() if value}
 
     @classmethod
     def _from_raw(cls, entries: dict[int, int]) -> "SparseMemory":
-        # Unchecked adoption of a dict; internal fast path and test backdoor.
-        mem = object.__new__(cls)
-        mem._entries = entries
+        # Unchecked adoption of a dict; test backdoor.
+        mem = _new(cls)
+        mem._data = entries
         return mem
+
+    def _reroot(self) -> dict[int, int]:
+        """Make this version the holder of its history's dict; returns it."""
+        path = []
+        node = self
+        while node._data is None:
+            path.append(node)
+            node = node._next
+        data, node._data = node._data, None
+        for prev in reversed(path):
+            # `node` reads as `data`, and `prev` as `data` with one change.
+            addr, old = prev._addr, prev._old
+            node._addr, node._old, node._next = addr, data.get(addr, 0), prev
+            if old:
+                data[addr] = old
+            else:
+                del data[addr]
+            node = prev
+        self._data, self._next = data, None
+        return data
 
     def read(self, addr: int) -> int:
         if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
-        return self._entries.get(addr, 0)
+            _check(addr, 0)
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        return data.get(addr, 0)
 
     def write(self, addr: int, value: int) -> "SparseMemory":
         """Return a memory with `addr` bound to `value` (unbound when 0)."""
-        if 0 <= addr < MEM_SIZE and self._entries.get(addr, 0) == value:
+        if not (0 <= addr < MEM_SIZE and 0 <= value <= 0xFF):
+            _check(addr, value)
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        old = data.get(addr, 0)
+        if old == value:
             return self
-        new = SparseMemory._from_raw(dict(self._entries))
-        new._store(addr, value)
-        return new
-
-    def _store(self, addr: int, value: int) -> None:
-        """Bind `addr` to `value` (unbind when 0) in place.
-
-        Only for a memory no other reference can observe: one being built,
-        or one the caller's own `write` returned as a new value and has
-        not handed out since.  Holds the address and byte checks and the
-        canonical-form rule for `__init__` and `write` too.
-        """
-        if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
-        if not 0 <= value <= 0xFF:
-            raise ValueOutOfRange(f"value {value} not a byte")
         if value:
-            self._entries[addr] = value
+            data[addr] = value
         else:
-            self._entries.pop(addr, None)
+            del data[addr]
+        new = _new(SparseMemory)
+        new._data = data
+        self._data = None
+        self._addr = addr
+        self._old = old
+        self._next = new
+        return new
 
     def wellformed(self) -> bool:
         """Executable invariant: all keys 32-bit, all values nonzero bytes."""
-        return all(
-            0 <= k < MEM_SIZE and 1 <= v <= 0xFF
-            for k, v in self._entries.items()
-        )
+        return all(0 <= k < MEM_SIZE and 1 <= v <= 0xFF
+                   for k, v in self._reroot().items())
 
     def touched(self) -> frozenset[int]:
         """Addresses currently holding a nonzero byte."""
-        return frozenset(self._entries)
+        return frozenset(self._reroot())
 
     def items(self) -> list[tuple[int, int]]:
         """(address, byte) pairs in ascending address order."""
-        return sorted(self._entries.items())
+        return sorted(self._reroot().items())
 
     def copy(self) -> "SparseMemory":
-        return self  # immutable
+        return self  # persistent
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._reroot())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMemory):
             return NotImplemented
-        return self._entries == other._entries
+        # A snapshot, since rerooting `other` may reuse this dict.
+        return self is other or dict(self._reroot()) == other._reroot()
 
     def __repr__(self) -> str:
-        return f"SparseMemory({len(self._entries)} bytes set)"
+        return f"SparseMemory({len(self)} bytes set)"

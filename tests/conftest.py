@@ -32,15 +32,41 @@ def stress_assembled():
     return asm.assemble(asm.parse(program_text("stress.ys")))
 
 
+class CountingDict(dict):
+    """A dict that counts its single-key updates, and the calls that read
+    all of it, as any copy of it must."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.updates = self.scans = 0
+
+    def __setitem__(self, key, value):
+        self.updates += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.updates += 1
+        super().__delitem__(key)
+
+    def _scanning(method):
+        def counted(self, *args):
+            self.scans += 1
+            return method(self, *args)
+        return counted
+
+    __iter__ = _scanning(dict.__iter__)
+    keys = _scanning(dict.keys)
+    items = _scanning(dict.items)
+    values = _scanning(dict.values)
+    copy = _scanning(dict.copy)
+    del _scanning
+
+
 @pytest.fixture
-def sparse_writes(monkeypatch):
-    """The addresses of every `SparseMemory.write` call from here on."""
-    write = SparseMemory.write
-    calls = []
-
-    def counting_write(mem, addr, value):
-        calls.append(addr)
-        return write(mem, addr, value)
-
-    monkeypatch.setattr(SparseMemory, "write", counting_write)
-    return calls
+def counted_sparse():
+    """`counted_sparse(entries)` returns a SparseMemory of `entries` (each
+    byte nonzero) and the CountingDict that its history keeps."""
+    def make(entries):
+        data = CountingDict(entries)
+        return SparseMemory._from_raw(data), data
+    return make

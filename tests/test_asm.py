@@ -262,19 +262,18 @@ def test_image_load_into_both_backends(simple_assembled):
         assert paged.read(addr) == sparse.read(addr) == 0
 
 
-def test_image_load_into_sparse_writes_one_new_memory(sparse_writes):
+def test_image_load_into_sparse_copies_no_map(counted_sparse):
     image = Image([(a, a % 255 + 1) for a in range(1200)])
     assert image.load(SparseMemory()) == SparseMemory(dict(image))
-    assert sparse_writes == [0]
-    # A write that changes nothing returns the memory it was given, which
-    # is not the loader's to store into: only the next write's result is.
-    base = SparseMemory({0x5000: 9})
-    sparse_writes.clear()
-    image = Image([(0x5000, 9), (0x5001, 0), (0x5002, 4), (0x5003, 5)])
+    # Loading into a large memory reads none of it whole, and the memory
+    # it was given keeps its bytes, the byte it already held included.
+    held = {0x5000 + a: 9 for a in range(5000)}
+    base, data = counted_sparse(held)
+    image = Image([(0x5000, 9), (0x5001, 0), (0x5002, 4), (0x9000, 5)])
     loaded = image.load(base)
-    assert sparse_writes == [0x5000, 0x5001, 0x5002]
-    assert base == SparseMemory({0x5000: 9})
-    assert loaded == SparseMemory({0x5000: 9, 0x5002: 4, 0x5003: 5})
+    assert data.scans == 0
+    assert loaded == SparseMemory({**held, 0x5001: 0, 0x5002: 4, 0x9000: 5})
+    assert base == SparseMemory(held)
 
 
 # ---------------------------------------------------------------------------

@@ -379,14 +379,16 @@ def test_dual_invariant_over_random_sequences():
         assert dual.recognizer(audit=True)
 
 
-def test_y86_recognizer_keeps_the_abstract_machine_owning_its_memory(
-        sparse_writes):
+def test_y86_recognizer_scan_costs_later_stores_nothing(counted_sparse):
     spec = y86_spec()
-    a = spec.creator_logic()
+    mem, data = counted_sparse({0x100 + i: 7 for i in range(3000)})
+    a = Machine(mem)
     a.write_byte(0, 1)
-    assert spec.recognizer_logic(a)
-    a.write_byte(1, 2)  # stored in place: no second new memory
-    assert sparse_writes == [0]
+    assert spec.recognizer_logic(a) and data.scans == 1
+    for addr in range(1, 200):
+        a.write_byte(addr, 2)
+    assert data.scans == 1   # no store after the scan reads the map whole
+    assert a.read_byte(0) == 1 and a.read_byte(199) == 2 and len(a.mem) == 3200
 
 
 def test_y86_pool_pairs_correspond_and_are_recognized():

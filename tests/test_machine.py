@@ -2,6 +2,7 @@
 
 import random
 import re
+import weakref
 
 import pytest
 
@@ -394,7 +395,7 @@ def test_lockstep_wraps_across_top_of_memory():
         for m in (concrete, abstract):
             assert (m.eip, m.status, m.regs[EAX]) == (7, Status.HLT,
                                                        0x12345678)
-            m.reload(WRAP_IMAGE.load(type(m._mem)()), eip=WRAP_START,
+            m.reload(WRAP_IMAGE.load(type(m.mem)()), eip=WRAP_START,
                      esp=8192, keep_icache=True)
             assert len(m._icache) == 4
 
@@ -692,8 +693,8 @@ def test_copy_independence():
 
 
 # ---------------------------------------------------------------------------
-# sparse memory ownership: a machine stores in place only into a memory its
-# own write made, and every memory it hands out stays unchanged
+# persistent sparse memory: every memory a machine hands out stays unchanged,
+# no store copies the map, and superseded versions die once nobody holds them
 
 def test_mem_snapshot_is_not_written_by_later_stores():
     m = Machine(SparseMemory())
@@ -703,9 +704,8 @@ def test_mem_snapshot_is_not_written_by_later_stores():
     m.write_byte(0x101, 3)
     assert snap == SparseMemory({0x100: 1})
     assert m.mem == SparseMemory({0x100: 2, 0x101: 3})
-    m.write_byte(0x102, 4)   # owns its memory again
-    # Setting the memory hands it in from outside: the machine must not
-    # store into it either.
+    m.write_byte(0x102, 4)
+    # Nor a memory handed in from outside.
     base = SparseMemory({0x10: 5})
     m.mem = base
     m.write_byte(0x10, 6)
@@ -731,9 +731,10 @@ def test_reloads_from_one_base_each_see_it_unchanged(popcount_assembled):
         assert base == expected
 
 
-def test_ownership_against_plain_dict_oracle():
-    # Random stores, snapshots, copies and reloads on a few machines; every
-    # live machine and every snapshot must read as its own dict says.
+def test_versions_of_shared_histories_against_plain_dict_oracle():
+    # Random stores, snapshots, copies and reloads on a few machines, whose
+    # versions share histories and reroot them back and forth; every live
+    # machine and every snapshot must read as its own dict says.
     rng = random.Random(0x0DD)
     addrs = range(24)
     machines = [(Machine(SparseMemory()), {})]
@@ -780,25 +781,77 @@ WORD_LOOP = (
     "  halt\n")
 
 
-def test_sparse_run_writes_one_new_memory(sparse_writes):
-    # The image load made the machine's memory, so the machine owns it
-    # from the start: every store of the run goes through `_store`, and
-    # none copies the loaded map.
-    m, _ = machine_from(WORD_LOOP)
-    sparse_writes.clear()
+# Bytes a machine's memory holds before the WORD_LOOP image is loaded.
+HELD = {0x800000 + i: 7 for i in range(3000)}
+
+
+def test_sparse_run_copies_no_map(counted_sparse):
+    # None of the run's 1,024 byte stores reads the map whole.
+    mem, data = counted_sparse(HELD)
+    m, _ = machine_from(WORD_LOOP, backend=lambda: mem)
     m.run(10_000)
     assert m.status is Status.HLT
-    assert sparse_writes == []
+    assert data.scans == 0
     assert {a for a in m.mem.touched() if a >= 0x100000} \
-        == set(range(0x100000, 0x100400))
+        == set(range(0x100000, 0x100400)) | set(HELD)
     assert m.read_word(0x100000 + 4 * 255) == 0x11223344
 
 
-def test_lockstep_abstract_side_writes_one_new_memory(sparse_writes):
-    # As above: the abstract machine owns the memory its image load made,
-    # and the lockstep checks never hand it out, so no store copies it.
-    concrete, abstract = lockstep_pair(WORD_LOOP)
-    sparse_writes.clear()
+def test_lockstep_abstract_side_copies_no_map(counted_sparse):
+    # As above, under lockstep: only the final sweep reads the abstract
+    # map whole, once, to list the addresses it holds.
+    image, symbols = asm.assemble(asm.parse(WORD_LOOP))
+    paged = PagedMemory()
+    for addr, value in HELD.items():
+        paged.write(addr, value)
+    mem, data = counted_sparse(HELD)
+    concrete = Machine(paged, eip=symbols["main"], esp=8192, image=image)
+    abstract = Machine(mem, eip=symbols["main"], esp=8192, image=image)
     report = run_in_lockstep(concrete, abstract, 10_000, seed=2)
     assert abstract.status is Status.HLT and report.steps == 4 * 256 + 6
-    assert sparse_writes == []
+    assert data.scans == 1
+
+
+def test_superseded_versions_die_when_no_caller_holds_them():
+    m = Machine(SparseMemory())
+    versions = []
+    for k in range(50):
+        m.write_byte(0x100 + k, k + 1)
+        versions.append(weakref.ref(m.mem))
+    assert [v() is None for v in versions] == [True] * 49 + [False]
+
+
+class VersionWatcher(Machine):
+    """Keeps a weak reference to each memory version its stores make."""
+
+    __slots__ = ("versions",)
+
+    def write_byte(self, addr, value):
+        super().write_byte(addr, value)
+        self.versions.append(weakref.ref(self.mem))
+
+
+def test_a_held_version_keeps_later_versions_until_dropped_or_read(
+        popcount_assembled):
+    # As in `verify_popcount`: a caller holds `base` while a machine runs
+    # from it.  Every version the run makes stays reachable through base,
+    # even once the machine drops it, until base is read (in
+    # `verify_popcount`, by the next reload checking its cached bytes) or
+    # dropped.
+    image, symbols = popcount_assembled
+    base = image.load(SparseMemory())
+    m = VersionWatcher(SparseMemory())
+    for drop_base in (False, True):
+        m.reload(base, eip=symbols["call-popcount"], esp=8192,
+                 keep_icache=True)
+        m.regs[EDX] = 0xFF
+        m.versions = []
+        m.run(1000)
+        assert m.regs[EAX] == 8 and len(m.versions) == 4   # the call's push
+        m.reload(SparseMemory())
+        assert all(v() is not None for v in m.versions)
+        if drop_base:
+            del base
+        else:
+            assert base.read(8188) == 0
+        assert all(v() is None for v in m.versions)

@@ -1,4 +1,5 @@
-"""Sparse-map memory: canonicity, map laws, and a plain-dict oracle."""
+"""Sparse-map memory: canonicity, map laws, a plain-dict oracle, and the
+persistence of versions that share one history."""
 
 import random
 
@@ -78,16 +79,21 @@ def test_range_errors():
         mem.write(0, -1)
 
 
-def test_store_checks_like_write_and_keeps_canonical_form():
-    mem = SparseMemory().write(7, 1)
-    with pytest.raises(AddressOutOfRange):
-        mem._store(MEM_SIZE, 1)
-    with pytest.raises(ValueOutOfRange):
-        mem._store(0, 256)
-    mem._store(7, 0)
-    mem._store(9, 0)   # unbinding an unbound address is a no-op
-    mem._store(8, 3)
-    assert mem == SparseMemory({8: 3}) and mem.wellformed()
+def test_write_on_any_version_checks_and_keeps_canonical_form():
+    # A rejected write changes no version, whether it is made on the
+    # newest version or on an older one.
+    old = SparseMemory().write(7, 1)
+    new = old.write(8, 3)
+    for mem in (new, old, new):
+        with pytest.raises(AddressOutOfRange):
+            mem.write(MEM_SIZE, 1)
+        with pytest.raises(ValueOutOfRange):
+            mem.write(0, 256)
+    assert old == SparseMemory({7: 1}) and new == SparseMemory({7: 1, 8: 3})
+    cleared = new.write(7, 0)
+    assert cleared.write(9, 0) is cleared   # unbinding an unbound address
+    assert cleared == SparseMemory({8: 3}) and cleared.wellformed()
+    assert old.write(7, 0) == SparseMemory() and len(new) == 2
 
 
 def test_wellformed_backdoor_violations():
@@ -142,3 +148,71 @@ def test_against_plain_dict_oracle():
     for addr in hot:
         assert mem.read(addr) == oracle.get(addr, 0)
     assert mem.touched() == {a for a, v in oracle.items() if v}
+
+
+def test_versions_of_one_history_compare_in_both_orders():
+    a = SparseMemory({1: 1})
+    b = a.write(2, 2)
+    c = b.write(2, 0)   # reads as `a` again
+    d = c.write(1, 5)
+    other = SparseMemory({1: 1})
+    for x, y, equal in ((a, c, True), (a, a, True), (c, other, True),
+                        (a, b, False), (b, c, False), (b, d, False),
+                        (a, d, False), (d, other, False)):
+        assert (x == y) is equal and (y == x) is equal, (x, y)
+    assert [a.read(2), b.read(2), c.read(1), d.read(1)] == [0, 2, 1, 5]
+
+
+def test_reading_the_oldest_of_a_long_history_does_not_recurse():
+    for read_first in (True, False):
+        oldest = mem = SparseMemory({0: 1})
+        for k in range(100_000):
+            mem = mem.write(k % 5000 + 1, k % 255 + 1)
+        if read_first:
+            assert oldest.read(0) == 1 and oldest.read(1) == 0
+            assert len(oldest) == 1 and mem.read(5000) == 99_999 % 255 + 1
+        del oldest, mem   # freeing the whole chain of records must not either
+
+
+def test_reroot_steps_are_amortised_constant_over_criterion_4_writes(
+        counted_sparse):
+    # Criterion 4's pattern: read a base, write it, read the result, and
+    # keep the result as the next base three times in ten.  A write that
+    # changes a byte and a reroot step each make one dict update.
+    rng = random.Random(4)
+    sparse, data = counted_sparse({123: 45, 0x01000000: 1})
+    writes = 0
+    for _ in range(100_000):
+        i = rng.getrandbits(32)
+        j = i if rng.random() < 0.2 else rng.getrandbits(32)
+        v = rng.getrandbits(8)
+        before = sparse.read(i)
+        written = sparse.write(j, v)
+        writes += written is not sparse
+        assert written.read(i) == (v if i == j else before)
+        if rng.random() < 0.3:
+            sparse = written
+    steps = data.updates - writes
+    assert 0 < steps <= writes and data.scans == 0
+
+
+def test_a_copy_through_items_shares_no_state_with_its_source(
+        counted_sparse):
+    # Reading an old version updates the dict its whole history shares, so
+    # one history is used from one thread at a time.  A copy made with
+    # `SparseMemory(dict(mem.items()))` is a history of its own: using it
+    # never updates the source's dict, whichever version that is rooted at.
+    source, data = counted_sparse({a: 1 for a in range(64)})
+    versions = [source]
+    for a in range(64):
+        versions.append(versions[-1].write(a, 2))
+    copy = SparseMemory(dict(versions[32].items()))
+    expected = [2] * 32 + [1] * 32
+    for k in range(65):
+        assert versions[k].read(0) == (1 if k == 0 else 2)
+        updates = data.updates
+        newer = copy.write(k % 64, 3)
+        assert [copy.read(a) for a in range(64)] == expected
+        assert newer.read(k % 64) == 3 and len(copy) == 64
+        assert data.updates == updates
+    assert versions[32] == copy and versions[0] == source
