@@ -7,11 +7,13 @@ structural equality coincides with extensional equality.
 The versions that writes derive from one memory form a history sharing one
 dict, by version-tree rerooting (Baker 1991; Conchon and Filliatre 2007).
 The holder keeps the dict; each other version is an undo record: an
-address, its byte there, and the next version towards the holder.  `write` on the holder is O(1); any other use
-of a version first reroots the history at it, reversing the records on
-the way, at O(distance) cost.  So a held version keeps the record of every
-later write until it is dropped or used, and one history is used from one
-thread at a time; `SparseMemory(dict(mem.items()))` is an independent one."""
+address, its byte there, and the next version towards the holder.
+`write` on the holder is O(1); any other use of a version first reroots
+the history at it, reversing the records on the way, at O(distance) cost.
+So a held version keeps the record of every later write until it is
+dropped or used, and one history is used from one thread at a time;
+`SparseMemory(dict(mem.items()))` is an independent one.
+"""
 
 from __future__ import annotations
 
