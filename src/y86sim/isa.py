@@ -7,8 +7,11 @@ constant.  Instruction lengths are therefore 1, 2, 5 or 6 bytes.
 
 The instruction table is stated once, in `OPERANDS` (each kind's operand
 slots) and `MNEMONICS` (each name's kind and function nibble); lengths,
-the validity rules of `Instruction`, `decode`, `format_instruction` and
-the assembler all read it.
+the validity rules of `Instruction`, `format_instruction` and the
+assembler all read it.  `decode` reads two tables derived from it,
+`OPCODES` (opcode byte -> kind, function nibble, length) and each kind's
+accepted register bytes, so a valid encoding costs one lookup in each; an
+encoding they reject goes through `Instruction`, which names the fault.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ __all__ = [
     "MASK32", "Register", "Flags", "Status", "Kind", "Cond", "AluFn",
     "Instruction", "encoded_length", "decode", "encode",
     "cond_holds", "alu_bits", "format_instruction",
-    "REGISTER_NAMES", "OPERANDS", "MNEMONICS", "MEM_SIZE",
+    "REGISTER_NAMES", "OPERANDS", "MNEMONICS", "OPCODES", "MEM_SIZE",
 ]
 
 MASK32 = 0xFFFFFFFF
@@ -193,17 +196,47 @@ class Instruction:
         object.__setattr__(self, "rb", rb)
 
 
+# Decode tables, derived from the ones above: each defined opcode byte ->
+# (kind, function nibble, length), and for each kind with a register byte,
+# each register byte that `Instruction` accepts there -> (rA, rB).
+OPCODES = {k << 4 | fn: (k, fn, _LENGTHS[k]) for k, fn in MNEMONICS.values()}
+_REG_PAIRS = {k: {ra << 4 | rb: (ra, rb)
+                  for ra in Register if (k in _REAL_RA) != (ra is Register.NONE)
+                  for rb in Register if (k in _REAL_RB) != (rb is Register.NONE)}
+              for k in _HAS_REGBYTE}
+_NO_REGS = (Register.NONE, Register.NONE)
+# Slot setters: an accepted encoding's `Instruction` skips `__post_init__`.
+_set_kind, _set_fn, _set_ra, _set_rb, _set_value = (
+    getattr(Instruction, name).__set__ for name in Instruction.__slots__)
+
+
 def decode(image, offset: int = 0) -> tuple[Instruction, int]:
     """Decode the instruction starting at `offset` in a byte sequence.
 
-    Returns (instruction, encoded length).  Raises InvalidInstruction for
-    an undefined opcode, for fields that `Instruction` rejects (function
-    nibble, register nibbles), or for an image that ends mid-instruction.
+    Returns (instruction, encoded length).  An encoding the decode tables
+    accept is built from them without re-validation.  Raises
+    InvalidInstruction for an undefined opcode, for an image that ends
+    mid-instruction, or with `Instruction`'s message for a field it rejects.
     """
     n = len(image)
     if not 0 <= offset < n:
         raise InvalidInstruction(f"offset {offset} outside image of {n} bytes")
     b0 = image[offset]
+    op = OPCODES.get(b0)
+    if op is not None and offset + op[2] <= n:
+        kind, fn, length = op
+        pairs = _REG_PAIRS.get(kind)
+        regs = _NO_REGS if pairs is None else pairs.get(image[offset + 1])
+        if regs is not None:
+            instr = object.__new__(Instruction)
+            _set_kind(instr, kind)
+            _set_fn(instr, fn)
+            _set_ra(instr, regs[0])
+            _set_rb(instr, regs[1])
+            end = offset + length
+            _set_value(instr, int.from_bytes(image[end - 4:end], "little")
+                       if length > 4 else 0)
+            return instr, length
     kind = b0 >> 4
     length = _LENGTHS.get(kind)
     if length is None:

@@ -7,13 +7,14 @@ returns a new version in O(1) and leaves every version a caller holds
 unchanged.  A machine is single-writer; distinct machines may run on
 distinct threads unless they share a sparse history (see `mem_sparse`).
 
-Decoded instructions are cached by address.  An entry holds the
-`Instruction` and its fall-through address, the eip after it masked to
-32 bits, so that address is computed once per decode, not once per step.
-The bytes each entry was decoded from are kept too.  A byte write into a
-cached span drops the cache, so self-modifying code re-decodes, and a
-reload that keeps the cache first checks those bytes against the new
-memory.
+Decoded instructions are cached by address.  A fetch on a miss reads the
+opcode byte, then only the rest of that instruction's bytes, its length
+from `isa.OPCODES`.  An entry holds the `Instruction` and its fall-through
+address, the eip after it masked to 32 bits, so that address is computed
+once per decode, not once per step.  The bytes each entry was decoded from
+are kept too.  A byte write into a cached span drops the cache, so
+self-modifying code re-decodes, and a reload that keeps the cache first
+checks those bytes against the new memory.
 
 `correspondence` states once, through `mismatch`, how a paged machine
 corresponds to a sparse one: `y86_spec()` registers it as `corr`, and
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from .errors import CorrespondenceFailure, InvalidInstruction
 from .isa import (
     MASK32,
+    OPCODES,
     REGISTER_NAMES,
     Flags,
     Instruction,
@@ -203,7 +205,11 @@ class Machine:
 
     def _fetch_decode(self, eip):
         rd = self.mem.read
-        window = bytes(rd((eip + k) & MASK32) for k in range(6))
+        b0 = rd(eip)
+        op = OPCODES.get(b0)
+        # The instruction's own bytes only; an undefined opcode is one byte.
+        addrs = [(eip + k) & MASK32 for k in range(op[2] if op else 1)]
+        window = bytes([b0, *map(rd, addrs[1:])])
         try:
             instr, length = decode(window, 0)
         except InvalidInstruction:
@@ -211,9 +217,7 @@ class Machine:
             return None
         entry = (instr, (eip + length) & MASK32)
         self._icache[eip] = entry
-        spans = self._icache_bytes
-        for k in range(length):
-            spans[(eip + k) & MASK32] = window[k]
+        self._icache_bytes.update(zip(addrs, window))
         return entry
 
     def run(self, n: int, trace=None) -> int:

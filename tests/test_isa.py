@@ -164,6 +164,60 @@ def test_decode_raises_only_invalid_instruction():
     assert decoded > 0
 
 
+def decode_by_instruction(window):
+    """`decode` of `window` at offset 0 as `Instruction` alone states it: the
+    lengths from `encoded_length`, the fields checked by the constructor,
+    and the messages of every rejection."""
+    b0 = window[0]
+    if b0 >> 4 not in {k.value for k in Kind}:
+        raise InvalidInstruction(f"undefined opcode byte {b0:#04x}")
+    kind = Kind(b0 >> 4)
+    length = encoded_length(kind)
+    if len(window) < length:
+        raise InvalidInstruction("image ends mid-instruction at offset 0")
+    ra = rb = Register.NONE
+    if length in (2, 6):
+        ra, rb = window[1] >> 4, window[1] & 0x0F
+    value = int.from_bytes(window[length - 4:length], "little") \
+        if length >= 5 else 0
+    try:
+        return Instruction(kind, b0 & 0x0F, ra, rb, value), length
+    except ValueError as exc:
+        raise InvalidInstruction(f"{exc} (opcode byte {b0:#04x})") from None
+
+
+def decode_outcome(decoder, window):
+    try:
+        instr, length = decoder(window)
+    except InvalidInstruction as exc:
+        return "rejected", str(exc)
+    return (type(instr), length,
+            [(type(getattr(instr, f)), getattr(instr, f))
+             for f in ("kind", "fn", "ra", "rb", "value")])
+
+
+def test_decode_tables_agree_with_instruction_on_every_encoding():
+    # Every (opcode byte, register byte) pair with a fixed constant, and
+    # every opcode byte with a few register bytes cut short of 6 bytes:
+    # decode builds what the constructor builds, field types included, or
+    # both reject the window with the same message.
+    windows = [bytes([b0, b1, 0x78, 0x56, 0x34, 0xF2])
+               for b0 in range(256) for b1 in range(256)]
+    windows += [bytes([b0, b1, 0x78, 0x56, 0x34, 0xF2])[:cut]
+                for b0 in range(256)
+                for b1 in (0x00, 0x0F, 0xF0, 0xFF, 0x12, 0x8F)
+                for cut in range(1, 6)]
+    accepted = 0
+    for window in windows:
+        want = decode_outcome(decode_by_instruction, window)
+        assert decode_outcome(decode, window) == want, window.hex()
+        accepted += len(window) == 6 and want[0] != "rejected"
+    # Full windows accepted: halt, nop and ret with any second byte, the 7
+    # jumps and call with any, 7 rrmovl and 4 ALU opcodes with 64 register
+    # pairs each, rmmovl and mrmovl with 64, irmovl, pushl and popl with 8.
+    assert accepted == 3 * 256 + 8 * 256 + 11 * 64 + 2 * 64 + 3 * 8
+
+
 def test_instruction_invariants_rejected():
     with pytest.raises(ValueError):
         Instruction(Kind.IRMOVL, rb=Register.NONE, value=3)

@@ -345,9 +345,9 @@ def test_reload_checks_cached_bytes_against_new_memory(load):
 # call pushes its return address 7 and jumps to a ret just below the
 # irmovl; the ret returns to the halt at 7.
 WRAP_START, WRAP_RET = 0xFFFFFFFC, 0xFFFFFFFB
+WRAP_IRMOVL = Instruction(Kind.IRMOVL, rb=Register.EAX, value=0x12345678)
 WRAP_CODE = [
-    (WRAP_START, isa.encode(Instruction(Kind.IRMOVL, rb=Register.EAX,
-                                        value=0x12345678))),
+    (WRAP_START, isa.encode(WRAP_IRMOVL)),
     (2, isa.encode(Instruction(Kind.CALL, value=WRAP_RET))),
     (7, isa.encode(Instruction(Kind.HALT))),
     (WRAP_RET, isa.encode(Instruction(Kind.RET))),
@@ -398,6 +398,72 @@ def test_lockstep_wraps_across_top_of_memory():
             m.reload(WRAP_IMAGE.load(type(m.mem)()), eip=WRAP_START,
                      esp=8192, keep_icache=True)
             assert len(m._icache) == 4
+
+
+class ReadLog:
+    """A memory over a sparse one that logs the address of each `read`."""
+
+    def __init__(self):
+        self.mem, self.reads = SparseMemory(), []
+
+    def read(self, addr):
+        self.reads.append(addr)
+        return self.mem.read(addr)
+
+    def write(self, addr, value):
+        self.mem = self.mem.write(addr, value)
+        return self
+
+
+@pytest.mark.parametrize("instr, length", [
+    (Instruction(Kind.HALT), 1),
+    (Instruction(Kind.NOP), 1),
+    (Instruction(Kind.RET), 1),
+    (Instruction(Kind.RRMOVL, ra=Register.EAX, rb=Register.EBX), 2),
+    (Instruction(Kind.IRMOVL, rb=Register.EDX, value=0xFFFFFFFF), 6),
+], ids=["halt", "nop", "ret", "rrmovl", "irmovl"])
+def test_a_cold_fetch_reads_only_the_instructions_bytes(instr, length):
+    # Nonzero bytes follow the instruction; the stack is far above it.
+    code = isa.encode(instr) + b"\x10" * 8
+    mem = ReadLog()
+    m = Machine(mem, eip=0x100, esp=0x8000,
+                image=asm.Image([(0x100 + k, b) for k, b in enumerate(code)]))
+    m.step()
+    assert [a for a in mem.reads if a < 0x8000] \
+        == list(range(0x100, 0x100 + length))
+    assert m._icache == {0x100: (instr, 0x100 + length)}
+    assert m._icache_bytes == {0x100 + k: code[k] for k in range(length)}
+
+
+@pytest.mark.parametrize("opcode", [0xC0, 0xFF, 0x27, 0x01, 0x64])
+def test_a_fetch_of_an_undefined_opcode_reads_one_byte(opcode):
+    # 0xC0 and 0xFF have no kind; 0x27, 0x01 and 0x64 a function nibble
+    # their kind does not define.
+    mem = ReadLog()
+    m = Machine(mem, eip=0x100, image=asm.Image(
+        [(0x100, opcode), *((0x101 + k, 0x12) for k in range(5))]))
+    m.step()
+    assert mem.reads == [0x100]
+    assert m.status is Status.INS and m.eip == 0x100
+    assert m._icache == {} and m._icache_bytes == {}
+
+
+def test_a_fetch_across_the_top_of_memory_spans_the_wrapped_addresses():
+    # The irmovl at 0xFFFFFFFC ends at 1; its constant 0x12345678 is stored
+    # at 0xFFFFFFFE..1, so the store into 1 rewrites its top byte.
+    mem = ReadLog()
+    m = Machine(mem, eip=WRAP_START, esp=8192, image=WRAP_IMAGE)
+    m.step()
+    wrapped = [0xFFFFFFFC, 0xFFFFFFFD, 0xFFFFFFFE, 0xFFFFFFFF, 0, 1]
+    assert mem.reads == wrapped
+    assert m._icache_bytes == dict(zip(wrapped, WRAP_CODE[0][1]))
+    assert m._icache == {WRAP_START: (WRAP_IRMOVL, 2)}
+    m.write_byte(1, 0x9A)
+    assert m._icache == {} and m._icache_bytes == {}
+    assert m.icache_clears == 1
+    m.set_eip(WRAP_START)
+    m.step()
+    assert m.regs[EAX] == 0x9A345678 and m.eip == 2
 
 
 @pytest.mark.parametrize("where", [{"eip": 1 << 33}, {"eip": -1},
