@@ -5,7 +5,7 @@ Source grammar (one item per line, `#` starts a comment):
     label:                      bind a label to the location counter
     .pos N                      set the location counter; N may not be
                                 below the end of the bytes emitted so far
-    .byte N                     emit one literal byte
+    .byte N                     emit one literal byte, N in 0..255
     irmovl $imm, %reg           plus: rrmovl/cmovXX, rmmovl, mrmovl,
     mrmovl D(%rB), %rA          addl/subl/andl/xorl, jmp/jXX, call, ret,
     rmmovl %rA, D(%rB)          pushl, popl, halt, nop
@@ -98,13 +98,16 @@ _NUMBER_RE = re.compile(rf"^{_NUMBER}$")
 _REG_BY_NAME = {name: Register(i) for i, name in enumerate(REGISTER_NAMES)}
 
 
-def _parse_number(token: str, lineno: int) -> int:
+def _parse_number(token: str, lineno: int, low: int = -(1 << 31),
+                  high: int = MASK32,
+                  fault: str = "number {!r} does not fit in 32 bits") -> int:
+    """A number in low..high, wrapped to 32 bits; else ParseError(fault)."""
     try:
         value = int(token, 0)
     except ValueError:
         raise ParseError(f"malformed number {token!r}", lineno) from None
-    if not -(1 << 31) <= value <= MASK32:
-        raise ParseError(f"number {token!r} does not fit in 32 bits", lineno)
+    if not low <= value <= high:
+        raise ParseError(fault.format(token), lineno)
     return value & MASK32
 
 
@@ -140,10 +143,8 @@ def _parse_mem(token: str, lineno: int) -> MemRef:
 
 
 def _parse_byte(token: str, lineno: int) -> int:
-    value = _parse_number(token, lineno)
-    if value > 0xFF:
-        raise ParseError(f".byte value {token!r} exceeds 255", lineno)
-    return value
+    return _parse_number(token, lineno, 0, 0xFF,
+                         ".byte value {!r} is not in 0..255")
 
 
 # operand slot (an `isa.OPERANDS` slot, or "byte" for .byte) -> parser
@@ -179,9 +180,10 @@ def parse(text: str) -> Program:
         mnemonic = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if mnemonic == ".pos":
-            addr = _parse_number(rest.strip(), lineno) if rest.strip() else None
-            if addr is None:
+            if not rest.strip():
                 raise ParseError(".pos needs an address", lineno)
+            addr = _parse_number(rest.strip(), lineno, 0, MASK32,
+                                 ".pos address {!r} is not in 0..0xffffffff")
             items.append(Pos(addr, lineno))
             continue
         if mnemonic == ".byte":

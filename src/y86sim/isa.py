@@ -8,10 +8,11 @@ constant.  Instruction lengths are therefore 1, 2, 5 or 6 bytes.
 The instruction table is stated once, in `OPERANDS` (each kind's operand
 slots) and `MNEMONICS` (each name's kind and function nibble); lengths,
 the validity rules of `Instruction`, `format_instruction` and the
-assembler all read it.  `decode` reads two tables derived from it,
-`OPCODES` (opcode byte -> kind, function nibble, length) and each kind's
-accepted register bytes, so a valid encoding costs one lookup in each; an
-encoding they reject goes through `Instruction`, which names the fault.
+assembler all read it.  `decode` reads each field of an encoding once
+and looks them up in two tables derived from it, `OPCODES` (opcode byte
+-> kind, function nibble, length) and each kind's accepted register
+bytes, so a valid encoding costs one lookup in each; the same fields of
+an encoding they reject go to `Instruction`, which names the fault.
 """
 
 from __future__ import annotations
@@ -213,8 +214,9 @@ _set_kind, _set_fn, _set_ra, _set_rb, _set_value = (
 def decode(image, offset: int = 0) -> tuple[Instruction, int]:
     """Decode the instruction starting at `offset` in a byte sequence.
 
-    Returns (instruction, encoded length).  An encoding the decode tables
-    accept is built from them without re-validation.  Raises
+    Returns (instruction, encoded length).  Each field is read once.  An
+    encoding the decode tables accept is built from them without
+    re-validation; the fields of any other go to `Instruction`.  Raises
     InvalidInstruction for an undefined opcode, for an image that ends
     mid-instruction, or with `Instruction`'s message for a field it rejects.
     """
@@ -223,37 +225,28 @@ def decode(image, offset: int = 0) -> tuple[Instruction, int]:
         raise InvalidInstruction(f"offset {offset} outside image of {n} bytes")
     b0 = image[offset]
     op = OPCODES.get(b0)
-    if op is not None and offset + op[2] <= n:
-        kind, fn, length = op
-        pairs = _REG_PAIRS.get(kind)
-        regs = _NO_REGS if pairs is None else pairs.get(image[offset + 1])
-        if regs is not None:
-            instr = object.__new__(Instruction)
-            _set_kind(instr, kind)
-            _set_fn(instr, fn)
-            _set_ra(instr, regs[0])
-            _set_rb(instr, regs[1])
-            end = offset + length
-            _set_value(instr, int.from_bytes(image[end - 4:end], "little")
-                       if length > 4 else 0)
-            return instr, length
-    kind = b0 >> 4
-    length = _LENGTHS.get(kind)
+    kind, fn, length = op or (b0 >> 4, b0 & 0x0F, _LENGTHS.get(b0 >> 4))
     if length is None:
         raise InvalidInstruction(f"undefined opcode byte {b0:#04x}")
-    if offset + length > n:
+    end = offset + length
+    if end > n:
         raise InvalidInstruction(f"image ends mid-instruction at offset {offset}")
-    ra = rb = Register.NONE
-    value = 0
-    pos = offset + 1
+    regs = _NO_REGS
     if kind in _HAS_REGBYTE:
-        ra, rb = image[pos] >> 4, image[pos] & 0x0F
-        pos += 1
-    if kind in _HAS_VALUE:
-        value = (image[pos] | image[pos + 1] << 8
-                 | image[pos + 2] << 16 | image[pos + 3] << 24)
+        regbyte = image[offset + 1]
+        regs = _REG_PAIRS[kind].get(regbyte)
+    value = int.from_bytes(image[end - 4:end], "little") if length > 4 else 0
+    if op is not None and regs is not None:
+        instr = object.__new__(Instruction)
+        _set_kind(instr, kind)
+        _set_fn(instr, fn)
+        _set_ra(instr, regs[0])
+        _set_rb(instr, regs[1])
+        _set_value(instr, value)
+        return instr, length
+    ra, rb = divmod(regbyte, 16) if regs is None else regs
     try:
-        return Instruction(kind, b0 & 0x0F, ra, rb, value), length
+        return Instruction(kind, fn, ra, rb, value), length
     except ValueError as exc:
         raise InvalidInstruction(f"{exc} (opcode byte {b0:#04x})") from None
 

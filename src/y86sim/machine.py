@@ -41,7 +41,7 @@ from .isa import (
     decode,
     format_instruction,
 )
-from .mem_paged import PagedMemory
+from .mem_paged import PAGE_SIZE, PagedMemory
 from .mem_sparse import SparseMemory
 
 __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
@@ -313,7 +313,7 @@ _RECENT_STEPS = 8
 _PROBES_PER_STEP = 32
 # Addresses the correspondence compares besides those the sparse side holds.
 _FIXED_PROBES = (
-    0, 1, 0x50, 0x56, 0xFF, 0xFFFFFF, 0x1000000, 0x1000001,
+    0, 1, 0x50, 0x56, 0xFF, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1,
     8188, 8189, 8190, 8191, 8192, 0x7FFFFFFF, 0xFFFFFFFF,
 )
 
@@ -396,6 +396,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     checked = steps = 0
     allocated = -1
     blocks: list[int] = []
+    offset_mask = PAGE_SIZE - 1
     # Both machines record the addresses they write in one step set.
     written = concrete._step_writes = abstract._step_writes = set()
     try:
@@ -411,8 +412,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
                 blocks = mem.blocks()
-            # The top byte of each draw picks a block, the rest an offset.
-            probes = ([blocks[(x >> 24) % len(blocks)] | (x & 0xFFFFFF)
+            # The top byte of each draw picks a block, its low bits an offset.
+            probes = ([blocks[(x >> 24) % len(blocks)] | (x & offset_mask)
                        for x in map(getrandbits, [32] * _PROBES_PER_STEP)]
                       if blocks else ())
             difference = mismatch(concrete, abstract, [*written, *probes])

@@ -57,6 +57,29 @@ def test_parse_errors_have_line_numbers(text):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    (".byte -1", "line 2: .byte value '-1' is not in 0..255"),
+    (".byte 0x100", "line 2: .byte value '0x100' is not in 0..255"),
+    (".pos -1", "line 2: .pos address '-1' is not in 0..0xffffffff"),
+    (".pos 0x100000000",
+     "line 2: .pos address '0x100000000' is not in 0..0xffffffff"),
+])
+def test_byte_and_pos_reject_values_out_of_range(text, message):
+    # Unlike an immediate, a .byte or .pos value does not wrap when negative.
+    with pytest.raises(ParseError) as err:
+        asm.parse("nop\n" + text)
+    assert str(err.value) == message
+    assert err.value.line == 2
+
+
+def test_byte_and_pos_accept_their_bounds():
+    items = asm.parse(".byte 0\n.byte 255\n.pos 0\n.pos 0xffffffff\n"
+                      "irmovl $-1, %eax").items
+    assert [item.operands for item in items[:2]] == [(0,), (255,)]
+    assert items[2:4] == (Pos(0), Pos(0xFFFFFFFF))
+    assert items[4].operands == (0xFFFFFFFF, Register.EAX)
+
+
 def test_parse_operand_forms():
     program = asm.parse(
         "mrmovl 8(%ebp), %eax\n"

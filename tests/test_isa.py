@@ -218,6 +218,32 @@ def test_decode_tables_agree_with_instruction_on_every_encoding():
     assert accepted == 3 * 256 + 8 * 256 + 11 * 64 + 2 * 64 + 3 * 8
 
 
+def test_accepted_windows_skip_instruction_validation(monkeypatch):
+    # An encoding the decode tables accept is built through the slot
+    # setters, so `Instruction.__post_init__` never runs for any of the
+    # 3,672 accepted full windows; a rejected window still runs it.
+    windows = [bytes([b0, b1, 0x78, 0x56, 0x34, 0xF2])
+               for b0 in range(256) for b1 in range(256)]
+    accepted = [w for w in windows
+                if decode_outcome(decode, w)[0] != "rejected"]
+    assert len(accepted) == 3672
+    calls = []
+    validate = Instruction.__post_init__
+
+    def counted(self):
+        calls.append(self.kind)
+        validate(self)
+
+    monkeypatch.setattr(Instruction, "__post_init__", counted)
+    for window in accepted:
+        decode(window)
+    assert calls == []
+    for raw in (bytes([0x60, 0xF0]), bytes([0x6F, 0x01])):
+        with pytest.raises(InvalidInstruction):
+            decode(raw)
+    assert calls == [Kind.ALU, Kind.ALU]
+
+
 def test_instruction_invariants_rejected():
     with pytest.raises(ValueError):
         Instruction(Kind.IRMOVL, rb=Register.NONE, value=3)
