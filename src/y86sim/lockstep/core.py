@@ -250,7 +250,8 @@ class CaseSource:
     pair that returns its next abstract value; and `_args_for(export_name,
     rng, abstract)`.  `draw` rebuilds the pair on the first draw, every
     `RESET_EVERY` draws and after `mark_failure`, then evolves it zero to
-    two times.  `advance` takes a passing updater's new abstract value.
+    two times; an `_evolve` that raises ends the half-updated pair, which
+    is rebuilt.  `advance` takes a passing updater's new abstract value.
     `snapshot` returning independent copies enables counterexample
     shrinking; returning None disables it.
     """
@@ -266,8 +267,12 @@ class CaseSource:
             self._pair = self._fresh()
         self._drawn += 1
         concrete, abstract = self._pair
-        for _ in range(rng.randrange(3)):
-            abstract = self._evolve(concrete, abstract, rng)
+        try:
+            for _ in range(rng.randrange(3)):
+                abstract = self._evolve(concrete, abstract, rng)
+        except Exception:  # the export's own cases record the raise
+            self._pair = self._fresh()
+            concrete, abstract = self._pair
         self._pair[1] = abstract
         return concrete, abstract, self._args_for(export_name, rng, abstract)
 

@@ -7,7 +7,8 @@ returns a new version in O(1) and leaves every version a caller holds
 unchanged.  A machine is single-writer; distinct machines may run on
 distinct threads unless they share a sparse history (see `mem_sparse`).
 
-Decoded instructions are cached by address.  A fetch on a miss reads the
+Decoded instructions are cached by address.  Only `step` fills the cache,
+and it returns the `Instruction` it ran.  A fetch on a miss reads the
 opcode byte, then only the rest of that instruction's bytes, its length
 from `isa.OPCODES`.  An entry holds the `Instruction` and its fall-through
 address, the eip after it masked to 32 bits, so that address is computed
@@ -149,16 +150,29 @@ class Machine:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> None:
-        """Execute one instruction; no effect unless status is AOK."""
+    def step(self) -> Instruction | None:
+        """Execute one instruction and return it, or None when nothing ran
+        (status is not AOK, or the fetch sets INS); a miss fills the cache."""
         if self.status is not Status.AOK:
-            return
+            return None
         eip = self.eip
         entry = self._icache.get(eip)
         if entry is None:
-            entry = self._fetch_decode(eip)
-            if entry is None:
-                return
+            rd = self.mem.read
+            b0 = rd(eip)
+            op = OPCODES.get(b0)
+            # Only the instruction's bytes; an undefined opcode is one.  No
+            # closure over `eip`: its cell would be made on every step.
+            end = eip + (op[2] if op else 1)
+            addrs = [a & MASK32 for a in range(eip, end)]
+            window = bytes([b0, *map(rd, addrs[1:])])
+            try:
+                instr, length = decode(window, 0)
+            except InvalidInstruction:
+                self.status = Status.INS
+                return None
+            entry = self._icache[eip] = (instr, (eip + length) & MASK32)
+            self._icache_bytes.update(zip(addrs, window))
         instr, nxt = entry
         kind = instr.kind
         r = self.regs
@@ -200,55 +214,34 @@ class Machine:
             r[instr.ra] = value
         elif kind is Kind.HALT:  # eip stays at the halt instruction
             self.status = Status.HLT
-            return
+            return instr
         self.eip = nxt  # all a NOP does
-
-    def _fetch_decode(self, eip):
-        rd = self.mem.read
-        b0 = rd(eip)
-        op = OPCODES.get(b0)
-        # The instruction's own bytes only; an undefined opcode is one byte.
-        addrs = [(eip + k) & MASK32 for k in range(op[2] if op else 1)]
-        window = bytes([b0, *map(rd, addrs[1:])])
-        try:
-            instr, length = decode(window, 0)
-        except InvalidInstruction:
-            self.status = Status.INS
-            return None
-        entry = (instr, (eip + length) & MASK32)
-        self._icache[eip] = entry
-        self._icache_bytes.update(zip(addrs, window))
-        return entry
+        return instr
 
     def run(self, n: int, trace=None) -> int:
         """Step until `n` steps are consumed or status leaves AOK.
 
-        Returns the number of steps consumed.  `trace`, when given, is
-        called with one formatted line per consumed step.
+        Returns the steps consumed; `n` is an `int`, as it goes through
+        `range`.  `trace`, when given, gets each step's `traced_step` line.
         """
         if n < 0:
             raise ValueError("step budget must be a natural number")
-        consumed = 0
-        if trace is None:
-            step = self.step
-            while consumed < n and self.status is Status.AOK:
+        step = self.step
+        for k in range(n):
+            if self.status is not Status.AOK:
+                return k
+            if trace is None:
                 step()
-                consumed += 1
-        else:
-            while consumed < n and self.status is Status.AOK:
-                consumed += 1
-                trace(self.traced_step(consumed))
-        return consumed
+            else:
+                trace(self.traced_step(k + 1))
+        return n
 
     def traced_step(self, k: int) -> str:
-        """Run `step` as step `k` of a trace; returns the step's trace line,
-        which names the instruction that ran and the state after it."""
+        """Run `step` as step `k` of a trace on a machine whose status is
+        AOK; returns the line naming what `step` ran and the state after."""
         eip0 = self.eip
-        # Decode before the step: a store into cached code clears the
-        # cache during it.
-        entry = self._icache.get(eip0) or self._fetch_decode(eip0)
-        self.step()
-        text = format_instruction(entry[0]) if entry else "(invalid)"
+        instr = self.step()
+        text = "(invalid)" if instr is None else format_instruction(instr)
         regs = " ".join(f"{v:08x}" for v in self.regs)
         return (f"step={k} eip={eip0:#010x} instr={text} regs={regs} "
                 f"flags={self.zf}{self.sf}{self.of} status={self.status.value}")

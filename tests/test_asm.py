@@ -72,6 +72,16 @@ def test_byte_and_pos_reject_values_out_of_range(text, message):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    (".pos abc", "line 1: malformed number 'abc'"),
+    ("mrmovl 8[%ebp], %eax", "line 1: malformed memory operand '8[%ebp]'"),
+])
+def test_malformed_operands_are_named(text, message):
+    with pytest.raises(ParseError) as err:
+        asm.parse(text)
+    assert str(err.value) == message
+
+
 def test_byte_and_pos_accept_their_bounds():
     items = asm.parse(".byte 0\n.byte 255\n.pos 0\n.pos 0xffffffff\n"
                       "irmovl $-1, %eax").items

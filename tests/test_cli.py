@@ -1,6 +1,8 @@
 """CLI surface: exit codes, output anchors, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,7 +90,7 @@ def test_run_lockstep_trace_runs_the_program_once(tmp_path, capsys,
     def counted_step(machine):
         nonlocal calls
         calls += 1
-        step(machine)
+        return step(machine)
 
     monkeypatch.setattr(Machine, "step", counted_step)
     assert main(["run", str(image), "--backend", "lockstep", "--trace"]) == 0
@@ -177,9 +179,10 @@ def assert_one_error_line(capsys):
 
 @pytest.mark.parametrize("content", [b"0x100000000: 00\n",
                                      b"0x00000010: 10\n0x00000010: 00\n",
-                                     b"\xff\xfe0x0: 00\n"],
+                                     b"\xff\xfe0x0: 00\n",
+                                     b"0x10: zz\n"],
                          ids=["address-past-32-bits", "duplicate-address",
-                              "not-utf8"])
+                              "not-utf8", "malformed-line"])
 def test_run_bad_image_file_is_one_error_line(tmp_path, capsys, content):
     image = tmp_path / "bad.yim"
     image.write_bytes(content)
@@ -267,6 +270,12 @@ def test_popcount_cli(capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("width", ["33", "-1"])
+def test_popcount_width_out_of_range_is_a_usage_error(capsys, width):
+    assert main(["popcount", "--width", width]) == 2
+    assert capsys.readouterr() == ("", "error: width must be in 0..32\n")
+
+
 def test_verify_popcount_counts():
     cases, mismatches = verify_popcount(width=4, samples=5, seed=1)
     assert cases == 16 + 5
@@ -308,3 +317,32 @@ def test_bad_seed_variable_is_a_usage_error(tmp_path, capsys, monkeypatch):
     source = tmp_path / "simple.ys"
     source.write_text(bundled_program("simple.ys"))
     assert main(["asm", str(source)]) == 0
+
+
+# sha256 of each command's stdout followed by its report file (R), first 16
+# hex digits.  A change that means to alter one of these outputs updates
+# its digest and says so.
+PINNED_OUTPUTS = {
+    "check y86 --cases 300 --seed 7 --report R": "20cff6d341377812",
+    "check demo-st --cases 600 --seed 3 --report R": "ec98949876e5bd9d",
+    "check const-stobj --report R": "8e2969034b94dd5b",
+    "run stress.yim --backend sparse --trace": "69531d62d43bb9b6",
+    "run stress.yim --backend lockstep --trace --seed 5": "f5f676a80dc017f9",
+    "popcount --width 4 --samples 5 --seed 1": "1a3a1ab8fbf601ef",
+}
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("Y86_LOCKSTEP_SEED", raising=False)
+    Path("stress.ys").write_text(bundled_program("stress.ys"))
+    assert main(["asm", "stress.ys"]) == 0
+    capsys.readouterr()
+    digests = {}
+    for command in PINNED_OUTPUTS:
+        assert main(command.split()) == 0, command
+        output = capsys.readouterr().out.encode()
+        if command.endswith("--report R"):
+            output += Path("R").read_bytes()
+        digests[command] = hashlib.sha256(output).hexdigest()[:16]
+    assert digests == PINNED_OUTPUTS

@@ -30,6 +30,7 @@ from y86sim.lockstep import (
     unsound_const_demo,
     y86_spec,
 )
+from y86sim.lockstep.fixtures import SLOT_COUNT
 from y86sim.machine import Machine, correspondence
 from y86sim.mem_paged import PagedMemory
 from y86sim.mem_sparse import SparseMemory
@@ -516,6 +517,85 @@ def test_report_determinism_and_serialization():
     record = json.loads(lines[0])
     assert record["spec"] == "demo-st"
     assert {"obligation", "cases", "failures", "seed"} <= set(record)
+
+
+def _with_export(spec, name, **changes):
+    """`spec` with the fields `changes` of export `name` replaced."""
+    return dataclasses.replace(spec, exports=tuple(
+        dataclasses.replace(e, **changes) if e.name == name else e
+        for e in spec.exports))
+
+
+def _raise(exc):
+    def fn(*args):
+        raise exc("seeded")
+    return fn
+
+
+@pytest.mark.parametrize("side, exc, text", [
+    ("exec_fn", RuntimeError, "exec raised RuntimeError: seeded"),
+    ("logic_fn", KeyError, "logic raised KeyError: 'seeded'"),
+])
+def test_a_raising_export_is_recorded_not_raised(side, exc, text):
+    # Pool evolution never calls lookup, so only its own cases meet it.
+    spec = _with_export(demo_spec(), "lookup", **{side: _raise(exc)})
+    report = check_obligations(spec, DemoCases(spec), 10, seed=1)
+    failures = report.outcome("lookup{CORRESPONDENCE}").failures
+    assert [f.message for f in failures] == [text] * 10
+    assert report.total_failures == 10
+
+
+def test_report_text_lists_five_failures_then_the_rest():
+    spec = _with_export(demo_spec(), "lookup", exec_fn=_raise(RuntimeError))
+    report = check_obligations(spec, DemoCases(spec), 8, seed=1)
+    lines = report.to_text().splitlines()
+    start = lines.index("  lookup{CORRESPONDENCE}: 8 cases, 8 FAILED") + 1
+    for case, line in enumerate(lines[start:start + 5]):
+        assert re.fullmatch(rf"    case {case} seed=\d+ args=\(\d+,\) "
+                            r"shrunk=\(0,\): exec raised RuntimeError: seeded",
+                            line), line
+    assert lines[start + 5] == "    ... 3 more"
+
+
+@pytest.mark.parametrize("side, exc", [("exec_fn", RuntimeError),
+                                       ("logic_fn", KeyError)])
+def test_a_raising_update_during_pool_evolution_ends_the_pair(side, exc):
+    # Either way the concrete store happens before the raise, so the pair
+    # left behind no longer corresponds.
+    def store_then_raise(c, k, v):
+        c.set_slot(k, v)
+        raise exc("seeded")
+
+    spec = _with_export(demo_spec(), "update", **{
+        side: store_then_raise if side == "exec_fn" else _raise(exc)})
+    report = check_obligations(spec, DemoCases(spec), 20, seed=1)
+    failures = report.outcome("update{CORRESPONDENCE}").failures
+    assert len(failures) == 20
+    assert all(f.message.startswith(f"{side[:-3]} raised {exc.__name__}")
+               for f in failures)
+    for outcome in report.outcomes:
+        if outcome.name.split("{")[0] in ("lookup", "misc", "update-misc"):
+            assert not outcome.failures, report.to_text()
+
+
+def test_y86_creators_of_two_sparse_machines_fail_correspondence():
+    spec = dataclasses.replace(y86_spec(),
+                               creator_exec=lambda: Machine(SparseMemory()))
+    report = check_obligations(spec, Y86Cases(), 0)
+    [failure] = report.outcome("create{CORRESPONDENCE}").failures
+    assert failure.message.endswith(
+        "the pair is not a paged machine and a sparse one")
+    assert report.total_failures == 1
+
+
+def test_created_value_the_recognizer_rejects_fails_preservation():
+    # Slot 100 is past the store, so the correspondence never reads it.
+    spec = dataclasses.replace(
+        demo_spec(), creator_logic=lambda: EvenMap(slots={SLOT_COUNT: 0}))
+    report = check_obligations(spec, DemoCases(spec), 0)
+    [failure] = report.outcome("create{PRESERVED}").failures
+    assert failure.message == "created abstract value fails the recognizer"
+    assert report.total_failures == 1
 
 
 def test_case_source_contract_enforced():

@@ -85,6 +85,21 @@ def test_step_invalid_instruction_sets_ins():
     assert m.eip == 0
 
 
+def test_step_returns_the_instruction_it_ran():
+    m, _ = machine_from("main:\n  irmovl $5, %eax\n  halt\n")
+    assert isa.format_instruction(m.step()) == "irmovl $0x5, %eax"
+    assert m.step().kind is Kind.HALT
+    assert m.step() is None  # halted: nothing ran
+    m = Machine(SparseMemory(), image=asm.Image([(0, 0xC0)]))
+    assert m.step() is None and m.status is Status.INS
+
+
+def test_step_makes_no_closure_cell():
+    # Before Python 3.12 a comprehension reading a local of `step` would
+    # make that local a cell, allocated on every call of the hot path.
+    assert Machine.step.__code__.co_cellvars == ()
+
+
 def test_alu_xor_self_zeroes():
     m, _ = machine_from("main:\n  xorl %eax, %eax\n  halt\n")
     m.regs[EAX] = 1234
