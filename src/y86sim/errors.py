@@ -31,6 +31,12 @@ class InvalidInstruction(Y86Error):
 class AddressOutOfRange(Y86Error):
     """Memory address outside the 32-bit address space."""
 
+    @classmethod
+    def at(cls, addr) -> "AddressOutOfRange":
+        """The error for `addr`, shown in hex when it is an int."""
+        shown = f"{addr:#x}" if isinstance(addr, int) else repr(addr)
+        return cls(f"address {shown} not a 32-bit address")
+
 
 class ValueOutOfRange(Y86Error):
     """Stored value outside the byte range 0..255."""

@@ -19,12 +19,16 @@ checks those bytes against the new memory.
 
 `correspondence` states once, through `mismatch`, how a paged machine
 corresponds to a sparse one: `y86_spec()` registers it as `corr`, and
-`run_in_lockstep` ends with it.
+`run_in_lockstep` ends with it.  `mismatch` is the one memory comparison
+of both, and of every lockstep step: it reads its addresses in bulk, one
+`read_many` per backend, and names a difference only when the two byte
+strings differ.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -302,8 +306,10 @@ class Machine:
 
 # Eips of the most recent steps quoted in a divergence report.
 _RECENT_STEPS = 8
-# Random addresses probed after each lockstep step.
+# Random addresses probed after each lockstep step, drawn at once.
 _PROBES_PER_STEP = 32
+_PROBE_BITS = 32 * _PROBES_PER_STEP
+_unpack_probes = struct.Struct(f"<{_PROBES_PER_STEP}I").unpack
 # Addresses the correspondence compares besides those the sparse side holds.
 _FIXED_PROBES = (
     0, 1, 0x50, 0x56, 0xFF, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1,
@@ -321,6 +327,10 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
     """None, or the first difference in registers, eip, flags, status, then
     memory at each of `addrs`, as in "%edx is 0x7 concrete vs 0x0 abstract"
     or "memory at 0x200 is 0x5b concrete vs 0x5a abstract".
+
+    Memory is compared in bulk: one `read_many` of the sequence `addrs` per
+    backend, and the two byte strings are walked only when they differ.
+    An address a backend cannot read raises what its `read` raises.
     """
     c, a = concrete, abstract
     if (c.regs != a.regs or c.eip != a.eip or c.zf != a.zf
@@ -332,11 +342,12 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
                   ("status", c.status.value, a.status.value)]
         field, got, want = next(f for f in fields if f[1] != f[2])
         return f"{field} is {got} concrete vs {want} abstract"
-    cread, aread = c.mem.read, a.mem.read
-    for addr in addrs:
-        if cread(addr) != aread(addr):
-            return (f"memory at {addr:#x} is {cread(addr):#04x} concrete vs "
-                    f"{aread(addr):#04x} abstract")
+    cbytes, abytes = c.mem.read_many(addrs), a.mem.read_many(addrs)
+    if cbytes != abytes:
+        addr, got, want = next(f for f in zip(addrs, cbytes, abytes)
+                               if f[1] != f[2])
+        return (f"memory at {addr:#x} is {got:#04x} concrete vs "
+                f"{want:#04x} abstract")
     return None
 
 
@@ -371,10 +382,13 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     After every step the machines must agree on regs, eip, flags and
     status, and on each address that either of them wrote during that
     step; `_PROBES_PER_STEP` (32) more addresses, drawn from `seed` inside
-    the blocks the paged memory has allocated, are probed as well.  The
-    final sweep is `correspondence`.  Raises CorrespondenceFailure on the
-    first divergence, naming the step, the first difference and the last
-    few eips.
+    the blocks the paged memory has allocated, are probed as well.  A
+    step's probes come from one wide `getrandbits`, whose 32-bit words are
+    those of as many narrow draws: each word's top byte picks an allocated
+    block and its low 24 bits the offset there.  The written addresses and
+    the probes go to one `mismatch`.  The final sweep is `correspondence`.
+    Raises CorrespondenceFailure on the first divergence, naming the step,
+    the first difference and the last few eips.
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
@@ -388,8 +402,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     recent = deque(maxlen=_RECENT_STEPS)
     checked = steps = 0
     allocated = -1
-    blocks: list[int] = []
-    offset_mask = PAGE_SIZE - 1
+    tops = b""
     # Both machines record the addresses they write in one step set.
     written = concrete._step_writes = abstract._step_writes = set()
     try:
@@ -405,14 +418,22 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             if mem.next_addr != allocated:
                 allocated = mem.next_addr
                 blocks = mem.blocks()
-            # The top byte of each draw picks a block, its low bits an offset.
-            probes = ([blocks[(x >> 24) % len(blocks)] | (x & offset_mask)
-                       for x in map(getrandbits, [32] * _PROBES_PER_STEP)]
-                      if blocks else ())
-            difference = mismatch(concrete, abstract, [*written, *probes])
+                # A draw's top byte picks an allocated block, its low bits an
+                # offset there; `tops` maps that byte to the block's number.
+                tops = bytes([blocks[x % len(blocks)] // PAGE_SIZE
+                              for x in range(256)]) if blocks else b""
+            addrs = [*written]
+            if tops:
+                # One wide draw holds the words of `_PROBES_PER_STEP` 32-bit
+                # draws, lowest first, and leaves the generator as they do.
+                raw = bytearray(getrandbits(_PROBE_BITS).to_bytes(
+                    _PROBE_BITS // 8, "little"))
+                raw[3::4] = raw[3::4].translate(tops)
+                addrs += _unpack_probes(raw)
+            difference = mismatch(concrete, abstract, addrs)
             if difference is not None:
                 raise _divergence(f"at step {steps}", difference, recent)
-            checked += len(written) + len(probes)
+            checked += len(addrs)
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None

@@ -18,6 +18,7 @@ refuses.
 from __future__ import annotations
 
 import mmap
+from array import array
 
 from .errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
 from .isa import MEM_SIZE
@@ -54,15 +55,26 @@ class PagedMemory:
 
     def read(self, addr: int) -> int:
         if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
+            raise AddressOutOfRange.at(addr)
         base = self.table[addr >> 24]
         if base == SENTINEL:
             return 0
         return self.array[base | (addr & _OFFSET_MASK)]
 
+    def read_many(self, addrs) -> bytes:
+        """`bytes(map(self.read, addrs))` for a sequence `addrs`, in one pass
+        over the live table and array; raises what `read` raises."""
+        try:
+            array("I", addrs)  # every address a 32-bit int, checked in C
+        except (TypeError, OverflowError):
+            return bytes(map(self.read, addrs))
+        table, data = self.table, self.array
+        return bytes([0 if (base := table[a >> 24]) == SENTINEL
+                      else data[base | (a & _OFFSET_MASK)] for a in addrs])
+
     def write(self, addr: int, value: int) -> "PagedMemory":
         if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
+            raise AddressOutOfRange.at(addr)
         if not 0 <= value <= 0xFF:
             raise ValueOutOfRange(f"value {value} not a byte")
         top = addr >> 24
@@ -97,12 +109,16 @@ class PagedMemory:
         return self
 
     def wellformed(self) -> bool:
-        """The memory invariant as one equation: with `bases` the allocated
-        table entries, the cursor is the array's length and one page per
-        base, and the sorted bases are the page offsets below the cursor."""
-        bases = [e for e in self.table if e != SENTINEL]
-        return (self.next_addr == len(self.array) == PAGE_SIZE * len(bases)
-                and sorted(bases) == list(range(0, self.next_addr, PAGE_SIZE)))
+        """The memory invariant as one equation: the cursor is the array's
+        length and one page per allocated table entry, and the set of
+        allocated entries is the set of page offsets below the cursor, so no
+        two entries share a base.  Each side is a C-level pass over the
+        table."""
+        table = self.table
+        return (self.next_addr == len(self.array)
+                == PAGE_SIZE * (len(table) - table.count(SENTINEL))
+                and set(table) - {SENTINEL}
+                == set(range(0, self.next_addr, PAGE_SIZE)))
 
     def blocks(self) -> list[int]:
         """The first address of each allocated block, lowest first."""

@@ -17,7 +17,9 @@ dropped or used, and one history is used from one thread at a time;
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
+from itertools import repeat
 
 from .errors import AddressOutOfRange, ValueOutOfRange
 from .isa import MEM_SIZE
@@ -29,7 +31,7 @@ _new = object.__new__
 
 def _check(addr: int, value: int) -> None:
     if not 0 <= addr < MEM_SIZE:
-        raise AddressOutOfRange(f"address {addr:#x} not a 32-bit address")
+        raise AddressOutOfRange.at(addr)
     if not 0 <= value <= 0xFF:
         raise ValueOutOfRange(f"value {value} not a byte")
 
@@ -80,6 +82,18 @@ class SparseMemory:
             data = self._reroot()
         return data.get(addr, 0)
 
+    def read_many(self, addrs) -> bytes:
+        """`bytes(map(self.read, addrs))` for a sequence `addrs`, in one pass
+        over the live dict; raises what `read` raises."""
+        try:
+            array("I", addrs)  # every address a 32-bit int, checked in C
+        except (TypeError, OverflowError):
+            return bytes(map(self.read, addrs))
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        return bytes(map(data.get, addrs, repeat(0)))
+
     def write(self, addr: int, value: int) -> "SparseMemory":
         """Return a memory with `addr` bound to `value` (unbound when 0)."""
         if not (0 <= addr < MEM_SIZE and 0 <= value <= 0xFF):
@@ -103,9 +117,17 @@ class SparseMemory:
         return new
 
     def wellformed(self) -> bool:
-        """Executable invariant: all keys 32-bit, all values nonzero bytes."""
-        return all(0 <= k < MEM_SIZE and 1 <= v <= 0xFF
-                   for k, v in self._reroot().items())
+        """Executable invariant: all keys 32-bit ints, all values nonzero
+        byte ints.  The map is read whole once; `array` checks the keys and
+        `bytes` the values, each in one C-level pass."""
+        data = self._reroot()
+        keys = list(data)
+        try:
+            array("I", keys)
+            values = bytes(map(data.__getitem__, keys))
+        except (TypeError, OverflowError, ValueError):
+            return False
+        return 0 not in values
 
     def touched(self) -> frozenset[int]:
         """Addresses currently holding a nonzero byte."""

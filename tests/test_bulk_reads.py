@@ -1,0 +1,269 @@
+"""Bulk memory reads: `read_many` against per-address reads, `mismatch`
+against a per-address walk, both `wellformed()` checks against their
+per-entry statements, and the addresses lockstep probes."""
+
+import random
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from y86sim import asm, machine
+from y86sim.errors import AddressOutOfRange
+from y86sim.machine import (
+    _FIXED_PROBES,
+    _PROBES_PER_STEP,
+    Machine,
+    mismatch,
+    run_in_lockstep,
+)
+from y86sim.mem_paged import MEM_SIZE, PAGE_SIZE, SENTINEL, PagedMemory
+from y86sim.mem_sparse import SparseMemory
+
+BLOCKS = (0, 1, 7, 255)
+BACKENDS = (PagedMemory, SparseMemory)
+
+in_blocks = st.builds(lambda block, offset: (block << 24) | offset,
+                      st.sampled_from(BLOCKS), st.integers(0, PAGE_SIZE - 1))
+any_addr = st.one_of(in_blocks, st.sampled_from(_FIXED_PROBES),
+                     st.integers(0, MEM_SIZE - 1))
+writes = st.lists(st.tuples(in_blocks, st.integers(0, 255)), max_size=12)
+
+
+def filled(backend, ops):
+    mem = backend()
+    for addr, value in ops:
+        mem = mem.write(addr, value)
+    return mem
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_array_of_unsigned_ints_is_the_32_bit_range_check():
+    # `read_many` and the sparse `wellformed()` rely on this.
+    assert array("I").itemsize == 4
+    assert list(array("I", [0, MEM_SIZE - 1])) == [0, MEM_SIZE - 1]
+    for bad in (-1, MEM_SIZE):
+        with pytest.raises(OverflowError):
+            array("I", [bad])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(ops=writes, addrs=st.lists(any_addr, max_size=40))
+def test_read_many_equals_per_address_reads(backend, ops, addrs):
+    mem = filled(backend, ops)
+    addrs = [*addrs, *(a for a, _ in ops), *_FIXED_PROBES, 0, MEM_SIZE - 1]
+    assert mem.read_many(addrs) == bytes(map(mem.read, addrs))
+    assert mem.read_many([]) == b""
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad", [-1, MEM_SIZE, 2**40, -1.5, 2**40 + 0.5, 1.5])
+def test_read_many_raises_what_read_raises(backend, bad):
+    mem = filled(backend, [(5, 9), ((1 << 24) | 3, 4)])
+    addrs = [5, bad, 0]
+    assert outcome(mem.read_many, addrs) \
+        == outcome(lambda: bytes(map(mem.read, addrs)))
+    assert outcome(mem.read_many, [bad])[0] == outcome(mem.read, bad)[0]
+
+
+def test_a_non_int_address_is_named_in_the_range_error():
+    for bad, shown in ((-1.5, "-1.5"), (2**40 + 0.5, "1099511627776.5")):
+        for call in (PagedMemory().read, SparseMemory().read,
+                     lambda a: PagedMemory().write(a, 1),
+                     lambda a: SparseMemory().write(a, 1)):
+            with pytest.raises(AddressOutOfRange) as info:
+                call(bad)
+            assert str(info.value) == f"address {shown} not a 32-bit address"
+    with pytest.raises(AddressOutOfRange) as info:
+        SparseMemory().read(-1)
+    assert str(info.value) == "address -0x1 not a 32-bit address"
+    # A non-int key or value is stored unchecked; wellformed() rejects it.
+    assert not SparseMemory({1.5: 3}).wellformed()
+    assert not SparseMemory().write(7, 2.5).wellformed()
+
+
+# ---------------------------------------------------------------------------
+# wellformed() against its per-entry statements
+
+def sorted_bases_equation(mem):
+    bases = [e for e in mem.table if e != SENTINEL]
+    return (mem.next_addr == len(mem.array) == PAGE_SIZE * len(bases)
+            and sorted(bases) == list(range(0, mem.next_addr, PAGE_SIZE)))
+
+
+corruption = st.one_of(
+    st.tuples(st.just("unaligned"), st.integers(0, 255), st.integers(1, 99)),
+    st.tuples(st.just("duplicate"), st.integers(0, 255), st.integers(0, 255)),
+    st.tuples(st.just("negative"), st.integers(0, 255), st.integers(1, 4)),
+    st.tuples(st.just("free"), st.integers(0, 255), st.just(0)),
+    st.tuples(st.just("cursor"), st.just(0),
+              st.sampled_from([-PAGE_SIZE, -1, 1, PAGE_SIZE])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tops=st.lists(st.integers(0, 255), unique=True, max_size=4),
+       corruptions=st.lists(corruption, max_size=3))
+def test_paged_wellformed_equals_the_sorted_bases_equation(tops, corruptions):
+    mem = PagedMemory()
+    for top in tops:
+        mem.add_page(top)
+    for kind, top, k in corruptions:
+        table = mem.table
+        if kind == "unaligned":
+            table[top] = (table[top] if table[top] != SENTINEL else 0) + k
+        elif kind == "duplicate":
+            table[top] = table[k]
+        elif kind == "negative":
+            table[top] = -k * PAGE_SIZE
+        elif kind == "free":
+            table[top] = SENTINEL
+        else:
+            mem.next_addr += k
+    assert mem.wellformed() == sorted_bases_equation(mem)
+
+
+def test_sparse_wellformed_equals_the_per_entry_statement():
+    def per_entry(data):
+        return all(isinstance(k, int) and isinstance(v, int)
+                   and 0 <= k < MEM_SIZE and 1 <= v <= 0xFF
+                   for k, v in data.items())
+
+    for data in ({}, {5: 9}, {0: 1, MEM_SIZE - 1: 255}, {5: 0}, {5: 256},
+                 {5: -1}, {-1: 3}, {MEM_SIZE: 3}, {1.5: 3}, {7: 2.5},
+                 {5: 9, 6: 0, 7: 1}):
+        assert SparseMemory._from_raw(dict(data)).wellformed() \
+            == per_entry(data), data
+
+
+def test_sparse_wellformed_reads_the_map_whole_once(counted_sparse):
+    mem, data = counted_sparse({0x100 + i: 7 for i in range(300)})
+    assert mem.wellformed() and data.scans == 1
+
+
+# ---------------------------------------------------------------------------
+# mismatch against a per-address walk
+
+def walk_mismatch(concrete, abstract, addrs):
+    """The memory part of `mismatch`, one address at a time."""
+    for addr in addrs:
+        got, want = concrete.mem.read(addr), abstract.mem.read(addr)
+        if got != want:
+            return (f"memory at {addr:#x} is {got:#04x} concrete vs "
+                    f"{want:#04x} abstract")
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared=writes, concrete_only=writes, abstract_only=writes,
+       addrs=st.lists(any_addr, max_size=40), seed=st.integers(0, 2**16))
+def test_mismatch_names_the_first_difference_of_a_per_address_walk(
+        shared, concrete_only, abstract_only, addrs, seed):
+    c = Machine(filled(PagedMemory, shared + concrete_only))
+    a = Machine(filled(SparseMemory, shared + abstract_only))
+    touched = [addr for addr, _ in shared + concrete_only + abstract_only]
+    addrs = [*addrs, *touched]
+    random.Random(seed).shuffle(addrs)
+    assert mismatch(c, a, addrs) == walk_mismatch(c, a, addrs)
+    assert mismatch(a, c, addrs) == walk_mismatch(a, c, addrs)
+    for addr in touched:  # a difference at either end of a list is seen
+        assert mismatch(c, a, [addr]) == walk_mismatch(c, a, [addr])
+
+
+# ---------------------------------------------------------------------------
+# the lockstep probes
+
+def test_a_wide_draw_holds_the_narrow_draws_lowest_first():
+    # run_in_lockstep takes each step's probes from one wide draw; if a
+    # Python changes this, the probes move and this fails.
+    for k in (1, 2, 3, _PROBES_PER_STEP):
+        for seed in (0, 1, 1009):
+            wide, narrow = random.Random(seed), random.Random(seed)
+            x = wide.getrandbits(32 * k)
+            words = [narrow.getrandbits(32) for _ in range(k)]
+            assert x == sum(w << (32 * i) for i, w in enumerate(words))
+            assert wide.getstate() == narrow.getstate()
+
+
+WALK = """\
+main:
+    irmovl $1, %edi
+    irmovl $0x07000010, %ebx
+    irmovl $0x42000400, %edx
+    irmovl $0xc8fffff0, %ebp
+    irmovl $4, %ecx
+    irmovl $0x11223344, %eax
+loop:
+    rmmovl %eax, 0(%ebx)
+    rmmovl %eax, 0(%edx)
+    rmmovl %eax, 0(%ebp)
+    irmovl $4, %esi
+    addl %esi, %ebx
+    addl %esi, %edx
+    addl %esi, %ebp
+    addl %eax, %eax
+    subl %edi, %ecx
+    jne loop
+    halt
+"""
+
+
+def probe_formula(blocks, getrandbits):
+    """A step's probes drawn one 32-bit word at a time."""
+    return [blocks[(x >> 24) % len(blocks)] | (x & (PAGE_SIZE - 1))
+            for x in (getrandbits(32) for _ in range(_PROBES_PER_STEP))]
+
+
+def recorded_lockstep(monkeypatch, concrete, abstract, seed):
+    calls = []
+
+    def recording(c, a, addrs=()):
+        calls.append((list(addrs), c.mem.blocks()))
+        return mismatch(c, a, addrs)
+
+    monkeypatch.setattr(machine, "mismatch", recording)
+    report = run_in_lockstep(concrete, abstract, 10_000, seed=seed)
+    return report, calls
+
+
+@pytest.mark.parametrize("case", ["popcount", "walk"])
+def test_lockstep_probe_addresses_are_pinned(monkeypatch, popcount_assembled,
+                                             case):
+    if case == "popcount":  # one block, as perfbench's popcount leg runs
+        image, symbols = popcount_assembled
+        entry, seed, steps, checked = symbols["call-popcount"], 3, 186, 5994
+    else:  # four blocks, three of them allocated during the run
+        image, symbols = asm.assemble(asm.parse(WALK))
+        entry, seed, steps, checked = symbols["main"], 5, 47, 1661
+    concrete = Machine(PagedMemory(), eip=entry, esp=8192, image=image)
+    abstract = Machine(SparseMemory(), eip=entry, esp=8192, image=image)
+    concrete.regs[2] = abstract.regs[2] = 0x9E3779B9
+    report, calls = recorded_lockstep(monkeypatch, concrete, abstract, seed)
+    *per_step, final = calls
+    assert report.steps == len(per_step) == steps
+    getrandbits = random.Random(seed).getrandbits
+    for addrs, blocks in per_step:
+        probes = probe_formula(blocks, getrandbits)
+        written = addrs[:len(addrs) - len(probes)]
+        assert addrs[len(written):] == probes
+        assert len(set(written)) == len(written)
+    assert len(final[1]) == (1 if case == "popcount" else 4)
+    assert final[0] == [*abstract.mem.touched(), *_FIXED_PROBES]
+    assert report.addresses_checked == checked \
+        == sum(len(addrs) for addrs, _ in calls)
+
+
+def test_lockstep_draws_no_probe_while_no_block_is_allocated(monkeypatch):
+    # An empty memory runs one `halt` (byte 0) and allocates nothing.
+    report, calls = recorded_lockstep(
+        monkeypatch, Machine(PagedMemory()), Machine(SparseMemory()), 0)
+    assert report.steps == 1 and calls[0] == ([], [])
+    assert report.addresses_checked == len(_FIXED_PROBES)
