@@ -1,16 +1,21 @@
 """Y86 processor model: machine state, step and run, over either memory.
 
-The memory backend is anything with `read(addr) -> byte` and
-`write(addr, byte) -> memory`, and a machine keeps whatever `write`
-returns: the paged backend mutates and returns itself, the sparse backend
-returns a new version in O(1) and leaves every version a caller holds
-unchanged.  A machine is single-writer; distinct machines may run on
-distinct threads unless they share a sparse history (see `mem_sparse`).
+The memory backend is anything with `read(addr) -> byte`,
+`read_span(addr, n) -> bytes`, the `n` bytes from `addr` on, wrapping
+past 0xFFFFFFFF, and `write(addr, byte) -> memory`.  A machine keeps
+whatever `write` returns: the paged backend mutates and returns itself,
+the sparse backend returns a new version in O(1) and leaves every version
+a caller holds unchanged.  A word is read with one `read_span`.  Keeping
+the decode cache across a reload, and `mismatch`, also use the backends'
+`read_many(addrs) -> bytes`.  A machine is single-writer; distinct
+machines may run on distinct threads unless they share a sparse history
+(see `mem_sparse`).
 
 Decoded instructions are cached by address.  Only `step` fills the cache,
 and it returns the `Instruction` it ran.  A fetch on a miss reads the
-opcode byte, then only the rest of that instruction's bytes, its length
-from `isa.OPCODES`.  An entry holds the `Instruction` and its fall-through
+opcode byte with `read`, then the rest of that instruction's bytes, its
+length from `isa.OPCODES`, with one `read_span`; an undefined opcode is
+one byte.  An entry holds the `Instruction` and its fall-through
 address, the eip after it masked to 32 bits, so that address is computed
 once per decode, not once per step.  The bytes each entry was decoded from
 are kept too.  A byte write into a cached span drops the cache, so
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from .errors import CorrespondenceFailure, InvalidInstruction
 from .isa import (
     MASK32,
+    MEM_SIZE,
     OPCODES,
     REGISTER_NAMES,
     Flags,
@@ -53,6 +59,13 @@ __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
            "correspondence", "ESP"]
 
 ESP = 4  # stack pointer register number
+# The one-byte string of each byte value, the head of a fetched window.
+_BYTE = tuple(bytes((b,)) for b in range(256))
+
+
+def _is_word(value) -> bool:
+    """Whether `value` can be a register or eip: a 32-bit int."""
+    return isinstance(value, int) and 0 <= value <= MASK32
 
 
 class Machine:
@@ -70,7 +83,7 @@ class Machine:
 
         Registers and flags start at zero and status at AOK; `esp`, when
         given, initializes the stack pointer register.  An `eip` or `esp`
-        that is not 32-bit raises ValueError before `mem` is written.
+        that is not a 32-bit int raises ValueError before `mem` is written.
         """
         self.regs = [0] * 8
         self._updates = 0
@@ -104,13 +117,13 @@ class Machine:
     def set_reg(self, i: int, value: int) -> None:
         if not 0 <= i < 8:
             raise ValueError(f"register number {i} not in 0..7")
-        if not 0 <= value <= MASK32:
+        if not _is_word(value):
             raise ValueError("register value must be 32-bit")
         self.regs[i] = value
         self._updates += 1
 
     def set_eip(self, value: int) -> None:
-        if not 0 <= value <= MASK32:
+        if not _is_word(value):
             raise ValueError("eip must be 32-bit")
         self.eip = value
         self._updates += 1
@@ -139,11 +152,7 @@ class Machine:
         self.mem = self.mem.write(addr, value)
 
     def read_word(self, addr: int) -> int:
-        rd = self.mem.read
-        return (rd(addr & MASK32)
-                | rd((addr + 1) & MASK32) << 8
-                | rd((addr + 2) & MASK32) << 16
-                | rd((addr + 3) & MASK32) << 24)
+        return int.from_bytes(self.mem.read_span(addr & MASK32, 4), "little")
 
     def write_word(self, addr: int, value: int) -> None:
         value &= MASK32
@@ -162,21 +171,23 @@ class Machine:
         eip = self.eip
         entry = self._icache.get(eip)
         if entry is None:
-            rd = self.mem.read
-            b0 = rd(eip)
+            mem = self.mem
+            b0 = mem.read(eip)
             op = OPCODES.get(b0)
-            # Only the instruction's bytes; an undefined opcode is one.  No
-            # closure over `eip`: its cell would be made on every step.
-            end = eip + (op[2] if op else 1)
-            addrs = [a & MASK32 for a in range(eip, end)]
-            window = bytes([b0, *map(rd, addrs[1:])])
+            # Only the instruction's bytes; an undefined opcode is one.
+            window = _BYTE[b0] + mem.read_span((eip + 1) & MASK32,
+                                               op[2] - 1 if op else 0)
             try:
                 instr, length = decode(window, 0)
             except InvalidInstruction:
                 self.status = Status.INS
                 return None
-            entry = self._icache[eip] = (instr, (eip + length) & MASK32)
-            self._icache_bytes.update(zip(addrs, window))
+            end = eip + length
+            entry = self._icache[eip] = (instr, end & MASK32)
+            # No closure over `eip` or `end`: a cell would be made per step.
+            self._icache_bytes.update(
+                enumerate(window, eip) if end <= MEM_SIZE
+                else zip([a & MASK32 for a in range(eip, end)], window))
         instr, nxt = entry
         kind = instr.kind
         r = self.regs
@@ -271,20 +282,20 @@ class Machine:
         """Replace the memory, zero the registers and flags, set status AOK.
 
         Raises ValueError, changing nothing, when `eip` or `esp` is not a
-        32-bit value.  With `keep_icache=True` the decode cache survives
+        32-bit int.  With `keep_icache=True` the decode cache survives
         when `mem` holds the bytes every cached instruction was decoded
-        from; it checks them itself, one read per cached byte, and
-        otherwise is dropped and counted in `icache_clears`.
+        from; it checks them itself, with one `read_many`, and otherwise is
+        dropped and counted in `icache_clears`.
         """
-        if not 0 <= eip <= MASK32:
+        if not _is_word(eip):
             raise ValueError("eip must be a 32-bit value")
-        if esp is not None and not 0 <= esp <= MASK32:
+        if esp is not None and not _is_word(esp):
             raise ValueError("esp must be a 32-bit value")
         spans = self._icache_bytes
         if not keep_icache:
             self._icache.clear()
             spans.clear()
-        elif list(map(mem.read, spans)) != list(spans.values()):
+        elif mem.read_many(list(spans)) != bytes(spans.values()):
             self._icache.clear()
             spans.clear()
             self.icache_clears += 1

@@ -4,7 +4,10 @@ The 2^32 byte space is split into 256 blocks of 16MB.  A block's backing
 storage is appended to the flat array the first time the block is
 written; the table maps block number to the block's base offset in the
 array, with a sentinel for not-yet-allocated blocks.  Reads of absent
-blocks return 0 and never allocate.
+blocks return 0 and never allocate.  `read_span` reads a run of
+consecutive bytes as one slice of the flat array when the run lies in one
+block, and `read_many` reads a list of addresses in one pass over the
+table and array.
 
 The flat array is a private anonymous mapping, grown in place by one
 block per allocation (`mmap.resize`, which is `mremap` on Linux).  The
@@ -21,7 +24,7 @@ import mmap
 from array import array
 
 from .errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
-from .isa import MEM_SIZE
+from .isa import MASK32, MEM_SIZE
 
 __all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "PagedMemory"]
 
@@ -60,6 +63,23 @@ class PagedMemory:
         if base == SENTINEL:
             return 0
         return self.array[base | (addr & _OFFSET_MASK)]
+
+    def read_span(self, addr: int, n: int) -> bytes:
+        """The `n` bytes at `addr` onwards, wrapping past 0xFFFFFFFF; raises
+        what `read` raises for `addr`.  A span inside one block is one slice
+        of the array, or `n` zeros in an unallocated block; one that crosses
+        a block or 2^32 is read byte by byte."""
+        if not 0 <= addr < MEM_SIZE:
+            raise AddressOutOfRange.at(addr)
+        base = self.table[addr >> 24]
+        offset = addr & _OFFSET_MASK
+        if offset > PAGE_SIZE - n:
+            return bytes(map(self.read,
+                             [a & MASK32 for a in range(addr, addr + n)]))
+        if base == SENTINEL:
+            return bytes(n)
+        start = base | offset
+        return self.array[start:start + n]
 
     def read_many(self, addrs) -> bytes:
         """`bytes(map(self.read, addrs))` for a sequence `addrs`, in one pass

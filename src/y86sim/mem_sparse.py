@@ -13,6 +13,9 @@ the history at it, reversing the records on the way, at O(distance) cost.
 So a held version keeps the record of every later write until it is
 dropped or used, and one history is used from one thread at a time;
 `SparseMemory(dict(mem.items()))` is an independent one.
+
+`read_span` and `read_many` read the live dict in one pass: a run of
+consecutive bytes, or a list of addresses.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections.abc import Mapping
 from itertools import repeat
 
 from .errors import AddressOutOfRange, ValueOutOfRange
-from .isa import MEM_SIZE
+from .isa import MASK32, MEM_SIZE
 
 __all__ = ["MEM_SIZE", "SparseMemory"]
 
@@ -81,6 +84,23 @@ class SparseMemory:
         if data is None:
             data = self._reroot()
         return data.get(addr, 0)
+
+    def read_span(self, addr: int, n: int) -> bytes:
+        """The `n` bytes at `addr` onwards, wrapping past 0xFFFFFFFF, in one
+        pass over the live dict; raises what `read` raises for `addr`."""
+        if not 0 <= addr < MEM_SIZE:
+            _check(addr, 0)
+        data = self._data
+        if data is None:
+            data = self._reroot()
+        get = data.get
+        if addr > MEM_SIZE - n:
+            return bytes(map(get, [a & MASK32 for a in range(addr, addr + n)],
+                             repeat(0)))
+        if n == 4:  # a word: four lookups cost less than a range and a map
+            return bytes((get(addr, 0), get(addr + 1, 0), get(addr + 2, 0),
+                          get(addr + 3, 0)))
+        return bytes(map(get, range(addr, addr + n), repeat(0)))
 
     def read_many(self, addrs) -> bytes:
         """`bytes(map(self.read, addrs))` for a sequence `addrs`, in one pass

@@ -192,6 +192,9 @@ class RecordingMemory:
         assert 0 <= addr < MEM_SIZE
         return self.store.get(addr, 0)
 
+    def read_span(self, addr, n):
+        return bytes(self.read((addr + k) % MEM_SIZE) for k in range(n))
+
     def write(self, addr, value):
         assert 0 <= addr < MEM_SIZE and 0 <= value <= 0xFF
         self.writes.append((addr, value))

@@ -1,6 +1,6 @@
-"""Bulk memory reads: `read_many` against per-address reads, `mismatch`
-against a per-address walk, both `wellformed()` checks against their
-per-entry statements, and the addresses lockstep probes."""
+"""Bulk memory reads: `read_span` and `read_many` against per-address
+reads, `mismatch` against a per-address walk, both `wellformed()` checks
+against their per-entry statements, and the addresses lockstep probes."""
 
 import random
 from array import array
@@ -88,6 +88,68 @@ def test_a_non_int_address_is_named_in_the_range_error():
     # A non-int key or value is stored unchecked; wellformed() rejects it.
     assert not SparseMemory({1.5: 3}).wellformed()
     assert not SparseMemory().write(7, 2.5).wellformed()
+
+
+# ---------------------------------------------------------------------------
+# read_span against per-byte reads
+
+# The first address of a block, moved by a few bytes either way: spans from
+# here cross a block boundary, and from just below 0 they cross 2^32.
+near_edges = st.builds(lambda block, delta: ((block << 24) + delta) % MEM_SIZE,
+                       st.sampled_from(BLOCKS + (2, 8)), st.integers(-6, 6))
+edge_writes = st.lists(st.tuples(st.one_of(in_blocks, near_edges),
+                                 st.integers(0, 255)), max_size=12)
+
+
+def per_byte(mem, addr, n):
+    return bytes(mem.read((addr + k) % MEM_SIZE) for k in range(n))
+
+
+def stored(mem):
+    """What a read must leave as it was: the block table, or the map."""
+    if isinstance(mem, PagedMemory):
+        return list(mem.table), mem.next_addr, len(mem.array)
+    return mem.items()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=100, deadline=None)
+@given(ops=edge_writes, addr=st.one_of(in_blocks, near_edges),
+       n=st.integers(0, 6))
+def test_read_span_equals_per_byte_masked_reads(backend, ops, addr, n):
+    mem = filled(backend, ops)
+    before = stored(mem)
+    assert mem.read_span(addr, n) == per_byte(mem, addr, n)
+    assert stored(mem) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("start, written", [
+    (0x05000010, 0x05000012),
+    (0x09000010, None),
+    (0x01FFFFFD, 0x01FFFFFF),
+    (0x01FFFFFD, 0x02000001),
+    (0xFFFFFFFD, 0xFFFFFFFE),
+    (0xFFFFFFFD, 0x00000001),
+], ids=["inside-a-block", "unallocated", "into-a-free-block",
+        "out-of-a-free-block", "across-the-top-from-255", "across-the-top-to-0"])
+def test_read_span_inside_and_across_blocks(backend, start, written):
+    mem = backend() if written is None else backend().write(written, 0xAB)
+    before = stored(mem)
+    for n in range(7):
+        assert mem.read_span(start, n) == per_byte(mem, start, n)
+    assert stored(mem) == before
+    # Only one side of a crossing span is allocated, and nothing is added.
+    if isinstance(mem, PagedMemory):
+        assert mem.pages_allocated() == (written is not None)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad", [-1, MEM_SIZE, 2**40, -1.5, 2**40 + 0.5])
+def test_read_span_raises_what_read_raises(backend, bad):
+    mem = filled(backend, [(5, 9), ((1 << 24) | 3, 4)])
+    for n in range(7):
+        assert outcome(mem.read_span, bad, n) == outcome(mem.read, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,8 @@ def test_lockstep_wraps_across_top_of_memory():
 
 
 class ReadLog:
-    """A memory over a sparse one that logs the address of each `read`."""
+    """A memory over a sparse one that logs the address of each `read`; a
+    `read_span` is logged as the reads of its bytes, in order."""
 
     def __init__(self):
         self.mem, self.reads = SparseMemory(), []
@@ -424,6 +425,9 @@ class ReadLog:
     def read(self, addr):
         self.reads.append(addr)
         return self.mem.read(addr)
+
+    def read_span(self, addr, n):
+        return bytes(self.read((addr + k) & MASK32) for k in range(n))
 
     def write(self, addr, value):
         self.mem = self.mem.write(addr, value)
@@ -481,10 +485,29 @@ def test_a_fetch_across_the_top_of_memory_spans_the_wrapped_addresses():
     assert m.regs[EAX] == 0x9A345678 and m.eip == 2
 
 
+@pytest.mark.parametrize("base", [0x2000, 0xFFFFFFFE],
+                         ids=["inside", "across-the-top"])
+def test_mrmovl_reads_its_four_addresses_once_in_order(base):
+    code = isa.encode(Instruction(Kind.MRMOVL, ra=Register.EAX,
+                                  rb=Register.EBX, value=0))
+    word = [(base + k) & MASK32 for k in range(4)]
+    mem = ReadLog()
+    m = Machine(mem, eip=0x100, image=asm.Image(
+        [*((0x100 + k, b) for k, b in enumerate(code)),
+         *((a, 0x11 * (k + 1)) for k, a in enumerate(word))]))
+    m.set_reg(EBX, base)
+    m.step()
+    assert mem.reads == [*range(0x100, 0x100 + len(code)), *word]
+    assert m.regs[EAX] == 0x44332211 and m.eip == 0x100 + len(code)
+
+
 @pytest.mark.parametrize("where", [{"eip": 1 << 33}, {"eip": -1},
-                                   {"esp": -5}, {"esp": 1 << 32}],
+                                   {"esp": -5}, {"esp": 1 << 32},
+                                   {"eip": 1.5}, {"esp": 2.0},
+                                   {"eip": 1.5, "esp": 2.0}],
                          ids=["eip-high", "eip-negative", "esp-negative",
-                              "esp-high"])
+                              "esp-high", "eip-float", "esp-float",
+                              "both-float"])
 def test_reload_rejects_out_of_range_registers_like_init(where):
     with pytest.raises(ValueError, match="32-bit"):
         Machine(SparseMemory(), **where)
@@ -753,6 +776,14 @@ def test_set_reg_validation():
         m.set_reg(8, 0)
     with pytest.raises(ValueError):
         m.set_reg(0, 1 << 32)
+    # A non-int is rejected as not 32-bit before anything is written.
+    before = m.update_count
+    for bad in (1.5, 2.0, "7", None):
+        with pytest.raises(ValueError, match="32-bit"):
+            m.set_reg(0, bad)
+        with pytest.raises(ValueError, match="32-bit"):
+            m.set_eip(bad)
+    assert m.regs == [0] * 8 and m.eip == 0 and m.update_count == before
 
 
 def test_copy_independence():
