@@ -17,6 +17,7 @@ __all__ = [
     "PreservationFailure",
     "AtomicityViolation",
     "InjectedFault",
+    "access_error",
 ]
 
 
@@ -40,6 +41,15 @@ class AddressOutOfRange(Y86Error):
 
 class ValueOutOfRange(Y86Error):
     """Stored value outside the byte range 0..255."""
+
+
+def access_error(addr, value=0) -> Y86Error:
+    """The error a memory raises for a byte access of `value` at `addr` that
+    it refuses: AddressOutOfRange unless `addr` is an int in 0..2^32-1,
+    else ValueOutOfRange for `value`."""
+    if not (isinstance(addr, int) and 0 <= addr <= 0xFFFFFFFF):
+        return AddressOutOfRange.at(addr)
+    return ValueOutOfRange(f"value {value} not a byte")
 
 
 class AllocationFailure(Y86Error):

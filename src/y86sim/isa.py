@@ -3,7 +3,9 @@
 Encoding layout: one opcode byte (high nibble = instruction class, low
 nibble = function/condition), an optional register byte (rA in the high
 nibble, rB in the low nibble), and an optional 32-bit little-endian
-constant.  Instruction lengths are therefore 1, 2, 5 or 6 bytes.
+constant.  Instruction lengths are therefore 1, 2, 5 or 6 bytes.  A fetch
+hands `decode` `MAX_LENGTH` bytes, the longest, and `decode` returns the
+length it took: no other module computes one.
 
 The instruction table is stated once, in `OPERANDS` (each kind's operand
 slots) and `MNEMONICS` (each name's kind and function nibble); lengths,
@@ -27,10 +29,18 @@ __all__ = [
     "Instruction", "encoded_length", "decode", "encode",
     "cond_holds", "alu_bits", "format_instruction",
     "REGISTER_NAMES", "OPERANDS", "MNEMONICS", "OPCODES", "MEM_SIZE",
+    "MAX_LENGTH", "is_word",
 ]
 
 MASK32 = 0xFFFFFFFF
 MEM_SIZE = 1 << 32  # bytes in the address space
+
+
+def is_word(value) -> bool:
+    """Whether `value` is a 32-bit word, an int in 0..MASK32 that is not a
+    bool: the one rule for a register value, an eip and a guarded address."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 0 <= value <= MASK32)
 
 
 class Register(IntEnum):
@@ -154,6 +164,7 @@ _HAS_VALUE = frozenset(k for k, slots in OPERANDS.items()
                        if {"imm", "dest", "mem"} & set(slots))
 _LENGTHS = {k: 1 + (k in _HAS_REGBYTE) + 4 * (k in _HAS_VALUE)
             for k in OPERANDS}
+MAX_LENGTH = max(_LENGTHS.values())  # bytes a fetch hands `decode`
 
 
 def encoded_length(kind: Kind) -> int:

@@ -27,6 +27,7 @@ from typing import Any, Callable
 from ..errors import InjectedFault
 from ..isa import (
     MASK32, MNEMONICS, OPERANDS, Flags, Instruction, Register, Status, encode,
+    is_word,
 )
 from ..machine import Machine, correspondence
 from ..mem_paged import MEM_SIZE, PagedMemory
@@ -346,18 +347,14 @@ def unsound_const_demo() -> DualState:
 _RUN_CAP = 64
 
 
-def _n32(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= MASK32
-
-
 def _y86_recognizer(a) -> bool:
     return (
         isinstance(a, Machine)
         and isinstance(a.mem, SparseMemory)
         and a.mem.wellformed()
         and len(a.regs) == 8
-        and all(_n32(v) for v in a.regs)
-        and _n32(a.eip)
+        and all(is_word(v) for v in a.regs)
+        and is_word(a.eip)
         and all(f in (0, 1) for f in (a.zf, a.sf, a.of))
         and isinstance(a.status, Status)
     )
@@ -396,7 +393,7 @@ def y86_spec() -> LockstepSpec:
             "!rgfi", "updater",
             logic_fn=_logic(Machine.set_reg),
             exec_fn=Machine.set_reg,
-            guard=lambda a, i, v: isinstance(i, int) and 0 <= i < 8 and _n32(v),
+            guard=lambda a, i, v: isinstance(i, int) and 0 <= i < 8 and is_word(v),
             exec_guard=lambda c, i, v: 0 <= i < len(c.regs),
         ),
         Export(
@@ -409,20 +406,20 @@ def y86_spec() -> LockstepSpec:
             "!eip", "updater",
             logic_fn=_logic(Machine.set_eip),
             exec_fn=Machine.set_eip,
-            guard=lambda a, v: _n32(v),
+            guard=lambda a, v: is_word(v),
         ),
         Export(
             "memi", "reader",
             logic_fn=Machine.read_byte,
             exec_fn=Machine.read_byte,
-            guard=lambda a, i: _n32(i),
+            guard=lambda a, i: is_word(i),
             exec_guard=lambda c, i: 0 <= i < MEM_SIZE,
         ),
         Export(
             "!memi", "updater",
             logic_fn=_logic(Machine.write_byte),
             exec_fn=Machine.write_byte,
-            guard=lambda a, i, v: _n32(i) and isinstance(v, int) and 0 <= v <= 0xFF,
+            guard=lambda a, i, v: is_word(i) and isinstance(v, int) and 0 <= v <= 0xFF,
             exec_guard=lambda c, i, v: 0 <= i < MEM_SIZE,
             protect=True,
         ),

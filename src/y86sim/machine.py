@@ -12,15 +12,15 @@ machines may run on distinct threads unless they share a sparse history
 (see `mem_sparse`).
 
 Decoded instructions are cached by address.  Only `step` fills the cache,
-and it returns the `Instruction` it ran.  A fetch on a miss reads the
-opcode byte with `read`, then the rest of that instruction's bytes, its
-length from `isa.OPCODES`, with one `read_span`; an undefined opcode is
-one byte.  An entry holds the `Instruction` and its fall-through
-address, the eip after it masked to 32 bits, so that address is computed
-once per decode, not once per step.  The bytes each entry was decoded from
-are kept too.  A byte write into a cached span drops the cache, so
-self-modifying code re-decodes, and a reload that keeps the cache first
-checks those bytes against the new memory.
+and it returns the `Instruction` it ran.  A fetch on a miss is one
+`read_span` of `isa.MAX_LENGTH` bytes at eip; `decode` says how many of
+them the instruction took, so only `isa` knows encoding lengths.  An entry
+holds the `Instruction` and its fall-through address, the eip after it
+masked to 32 bits, so that address is computed once per decode, not once
+per step.  The bytes each entry was decoded from are kept too.  A byte
+write into a cached span drops the cache, so self-modifying code
+re-decodes, and a reload that keeps the cache first checks those bytes
+against the new memory.
 
 `correspondence` states once, through `mismatch`, how a paged machine
 corresponds to a sparse one: `y86_spec()` registers it as `corr`, and
@@ -37,11 +37,15 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CorrespondenceFailure, InvalidInstruction
+from .errors import (
+    AddressOutOfRange,
+    CorrespondenceFailure,
+    InvalidInstruction,
+)
 from .isa import (
     MASK32,
+    MAX_LENGTH,
     MEM_SIZE,
-    OPCODES,
     REGISTER_NAMES,
     Flags,
     Instruction,
@@ -51,6 +55,7 @@ from .isa import (
     cond_holds,
     decode,
     format_instruction,
+    is_word,
 )
 from .mem_paged import PAGE_SIZE, PagedMemory
 from .mem_sparse import SparseMemory
@@ -59,13 +64,6 @@ __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
            "correspondence", "ESP"]
 
 ESP = 4  # stack pointer register number
-# The one-byte string of each byte value, the head of a fetched window.
-_BYTE = tuple(bytes((b,)) for b in range(256))
-
-
-def _is_word(value) -> bool:
-    """Whether `value` can be a register or eip: a 32-bit int."""
-    return isinstance(value, int) and 0 <= value <= MASK32
 
 
 class Machine:
@@ -115,15 +113,15 @@ class Machine:
     # -- counted single-field updaters --------------------------------------
 
     def set_reg(self, i: int, value: int) -> None:
-        if not 0 <= i < 8:
+        if not (isinstance(i, int) and 0 <= i < 8):
             raise ValueError(f"register number {i} not in 0..7")
-        if not _is_word(value):
+        if not is_word(value):
             raise ValueError("register value must be 32-bit")
         self.regs[i] = value
         self._updates += 1
 
     def set_eip(self, value: int) -> None:
-        if not _is_word(value):
+        if not is_word(value):
             raise ValueError("eip must be 32-bit")
         self.eip = value
         self._updates += 1
@@ -139,10 +137,17 @@ class Machine:
     # -- memory access -------------------------------------------------------
 
     def read_byte(self, addr: int) -> int:
-        return self.mem.read(addr & MASK32)
+        try:
+            addr &= MASK32
+        except TypeError:
+            raise AddressOutOfRange.at(addr) from None
+        return self.mem.read(addr)
 
     def write_byte(self, addr: int, value: int) -> None:
-        addr &= MASK32
+        try:
+            addr &= MASK32
+        except TypeError:
+            raise AddressOutOfRange.at(addr) from None
         if addr in self._icache_bytes:
             self._icache.clear()
             self._icache_bytes.clear()
@@ -171,12 +176,7 @@ class Machine:
         eip = self.eip
         entry = self._icache.get(eip)
         if entry is None:
-            mem = self.mem
-            b0 = mem.read(eip)
-            op = OPCODES.get(b0)
-            # Only the instruction's bytes; an undefined opcode is one.
-            window = _BYTE[b0] + mem.read_span((eip + 1) & MASK32,
-                                               op[2] - 1 if op else 0)
+            window = self.mem.read_span(eip, MAX_LENGTH)
             try:
                 instr, length = decode(window, 0)
             except InvalidInstruction:
@@ -186,7 +186,7 @@ class Machine:
             entry = self._icache[eip] = (instr, end & MASK32)
             # No closure over `eip` or `end`: a cell would be made per step.
             self._icache_bytes.update(
-                enumerate(window, eip) if end <= MEM_SIZE
+                enumerate(window[:length], eip) if end <= MEM_SIZE
                 else zip([a & MASK32 for a in range(eip, end)], window))
         instr, nxt = entry
         kind = instr.kind
@@ -287,9 +287,9 @@ class Machine:
         from; it checks them itself, with one `read_many`, and otherwise is
         dropped and counted in `icache_clears`.
         """
-        if not _is_word(eip):
+        if not is_word(eip):
             raise ValueError("eip must be a 32-bit value")
-        if esp is not None and not _is_word(esp):
+        if esp is not None and not is_word(esp):
             raise ValueError("esp must be a 32-bit value")
         spans = self._icache_bytes
         if not keep_icache:

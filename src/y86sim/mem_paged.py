@@ -23,7 +23,7 @@ from __future__ import annotations
 import mmap
 from array import array
 
-from .errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
+from .errors import AddressOutOfRange, AllocationFailure, access_error
 from .isa import MASK32, MEM_SIZE
 
 __all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "PagedMemory"]
@@ -57,8 +57,11 @@ class PagedMemory:
         self.update_count = 0
 
     def read(self, addr: int) -> int:
-        if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange.at(addr)
+        try:
+            if addr >> 32:
+                raise access_error(addr)
+        except TypeError:  # not an int
+            raise access_error(addr) from None
         base = self.table[addr >> 24]
         if base == SENTINEL:
             return 0
@@ -69,8 +72,11 @@ class PagedMemory:
         what `read` raises for `addr`.  A span inside one block is one slice
         of the array, or `n` zeros in an unallocated block; one that crosses
         a block or 2^32 is read byte by byte."""
-        if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange.at(addr)
+        try:
+            if addr >> 32:
+                raise access_error(addr)
+        except TypeError:  # not an int
+            raise access_error(addr) from None
         base = self.table[addr >> 24]
         offset = addr & _OFFSET_MASK
         if offset > PAGE_SIZE - n:
@@ -93,10 +99,11 @@ class PagedMemory:
                       else data[base | (a & _OFFSET_MASK)] for a in addrs])
 
     def write(self, addr: int, value: int) -> "PagedMemory":
-        if not 0 <= addr < MEM_SIZE:
-            raise AddressOutOfRange.at(addr)
-        if not 0 <= value <= 0xFF:
-            raise ValueOutOfRange(f"value {value} not a byte")
+        try:
+            if addr >> 32 or value >> 8:
+                raise access_error(addr, value)
+        except TypeError:  # one of them is not an int
+            raise access_error(addr, value) from None
         top = addr >> 24
         if self.table[top] == SENTINEL:
             self.add_page(top)

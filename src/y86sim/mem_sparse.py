@@ -24,7 +24,7 @@ from array import array
 from collections.abc import Mapping
 from itertools import repeat
 
-from .errors import AddressOutOfRange, ValueOutOfRange
+from .errors import access_error
 from .isa import MASK32, MEM_SIZE
 
 __all__ = ["MEM_SIZE", "SparseMemory"]
@@ -33,10 +33,11 @@ _new = object.__new__
 
 
 def _check(addr: int, value: int) -> None:
-    if not 0 <= addr < MEM_SIZE:
-        raise AddressOutOfRange.at(addr)
-    if not 0 <= value <= 0xFF:
-        raise ValueOutOfRange(f"value {value} not a byte")
+    try:
+        if addr >> 32 or value >> 8:
+            raise access_error(addr, value)
+    except TypeError:  # one of them is not an int
+        raise access_error(addr, value) from None
 
 
 class SparseMemory:
@@ -78,8 +79,11 @@ class SparseMemory:
         return data
 
     def read(self, addr: int) -> int:
-        if not 0 <= addr < MEM_SIZE:
-            _check(addr, 0)
+        try:
+            if addr >> 32:
+                raise access_error(addr)
+        except TypeError:  # not an int
+            raise access_error(addr) from None
         data = self._data
         if data is None:
             data = self._reroot()
@@ -88,8 +92,11 @@ class SparseMemory:
     def read_span(self, addr: int, n: int) -> bytes:
         """The `n` bytes at `addr` onwards, wrapping past 0xFFFFFFFF, in one
         pass over the live dict; raises what `read` raises for `addr`."""
-        if not 0 <= addr < MEM_SIZE:
-            _check(addr, 0)
+        try:
+            if addr >> 32:
+                raise access_error(addr)
+        except TypeError:  # not an int
+            raise access_error(addr) from None
         data = self._data
         if data is None:
             data = self._reroot()
@@ -116,8 +123,11 @@ class SparseMemory:
 
     def write(self, addr: int, value: int) -> "SparseMemory":
         """Return a memory with `addr` bound to `value` (unbound when 0)."""
-        if not (0 <= addr < MEM_SIZE and 0 <= value <= 0xFF):
-            _check(addr, value)
+        try:
+            if addr >> 32 or value >> 8:
+                raise access_error(addr, value)
+        except TypeError:  # one of them is not an int
+            raise access_error(addr, value) from None
         data = self._data
         if data is None:
             data = self._reroot()

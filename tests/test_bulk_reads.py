@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from y86sim import asm, machine
-from y86sim.errors import AddressOutOfRange
+from y86sim.errors import AddressOutOfRange, ValueOutOfRange
 from y86sim.machine import (
     _FIXED_PROBES,
     _PROBES_PER_STEP,
@@ -65,7 +65,8 @@ def test_read_many_equals_per_address_reads(backend, ops, addrs):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("bad", [-1, MEM_SIZE, 2**40, -1.5, 2**40 + 0.5, 1.5])
+@pytest.mark.parametrize("bad", [-1, MEM_SIZE, 2**40, -1.5, 2**40 + 0.5, 1.5,
+                                 2.0])
 def test_read_many_raises_what_read_raises(backend, bad):
     mem = filled(backend, [(5, 9), ((1 << 24) | 3, 4)])
     addrs = [5, bad, 0]
@@ -75,19 +76,28 @@ def test_read_many_raises_what_read_raises(backend, bad):
 
 
 def test_a_non_int_address_is_named_in_the_range_error():
-    for bad, shown in ((-1.5, "-1.5"), (2**40 + 0.5, "1099511627776.5")):
-        for call in (PagedMemory().read, SparseMemory().read,
-                     lambda a: PagedMemory().write(a, 1),
-                     lambda a: SparseMemory().write(a, 1)):
-            with pytest.raises(AddressOutOfRange) as info:
-                call(bad)
-            assert str(info.value) == f"address {shown} not a 32-bit address"
+    for bad, shown in ((-1.5, "-1.5"), (2**40 + 0.5, "1099511627776.5"),
+                       (1.5, "1.5"), (2.0, "2.0")):
+        for backend in BACKENDS:
+            for call in (backend().read, lambda a: backend().read_span(a, 4),
+                         lambda a: backend().read_many([0, a]),
+                         lambda a: backend().write(a, 1),
+                         lambda a: Machine(backend()).read_byte(a),
+                         lambda a: Machine(backend()).write_byte(a, 1)):
+                with pytest.raises(AddressOutOfRange) as info:
+                    call(bad)
+                assert str(info.value) \
+                    == f"address {shown} not a 32-bit address"
+        with pytest.raises(AddressOutOfRange):
+            SparseMemory({bad: 3})
     with pytest.raises(AddressOutOfRange) as info:
         SparseMemory().read(-1)
     assert str(info.value) == "address -0x1 not a 32-bit address"
-    # A non-int key or value is stored unchecked; wellformed() rejects it.
-    assert not SparseMemory({1.5: 3}).wellformed()
-    assert not SparseMemory().write(7, 2.5).wellformed()
+    # A non-int value is refused, not stored for wellformed() to reject.
+    for store in (PagedMemory().write, SparseMemory().write,
+                  lambda a, v: SparseMemory({a: v})):
+        with pytest.raises(ValueOutOfRange, match="value 2.5 not a byte"):
+            store(7, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +155,8 @@ def test_read_span_inside_and_across_blocks(backend, start, written):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("bad", [-1, MEM_SIZE, 2**40, -1.5, 2**40 + 0.5])
+@pytest.mark.parametrize("bad", [-1, MEM_SIZE, 2**40, -1.5, 2**40 + 0.5,
+                                 1.5, 2.0])
 def test_read_span_raises_what_read_raises(backend, bad):
     mem = filled(backend, [(5, 9), ((1 << 24) | 3, 4)])
     for n in range(7):

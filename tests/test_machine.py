@@ -442,14 +442,16 @@ class ReadLog:
     (Instruction(Kind.IRMOVL, rb=Register.EDX, value=0xFFFFFFFF), 6),
 ], ids=["halt", "nop", "ret", "rrmovl", "irmovl"])
 def test_a_cold_fetch_reads_only_the_instructions_bytes(instr, length):
-    # Nonzero bytes follow the instruction; the stack is far above it.
+    # The fetch reads the longest encoding's bytes at eip, once and in
+    # order; the cache keeps only the instruction's.  Nonzero bytes follow
+    # the instruction; the stack is far above it.
     code = isa.encode(instr) + b"\x10" * 8
     mem = ReadLog()
     m = Machine(mem, eip=0x100, esp=0x8000,
                 image=asm.Image([(0x100 + k, b) for k, b in enumerate(code)]))
     m.step()
     assert [a for a in mem.reads if a < 0x8000] \
-        == list(range(0x100, 0x100 + length))
+        == list(range(0x100, 0x100 + isa.MAX_LENGTH))
     assert m._icache == {0x100: (instr, 0x100 + length)}
     assert m._icache_bytes == {0x100 + k: code[k] for k in range(length)}
 
@@ -457,12 +459,13 @@ def test_a_cold_fetch_reads_only_the_instructions_bytes(instr, length):
 @pytest.mark.parametrize("opcode", [0xC0, 0xFF, 0x27, 0x01, 0x64])
 def test_a_fetch_of_an_undefined_opcode_reads_one_byte(opcode):
     # 0xC0 and 0xFF have no kind; 0x27, 0x01 and 0x64 a function nibble
-    # their kind does not define.
+    # their kind does not define.  The fetch reads the longest encoding's
+    # bytes, as any fetch does, and caches none of them.
     mem = ReadLog()
     m = Machine(mem, eip=0x100, image=asm.Image(
         [(0x100, opcode), *((0x101 + k, 0x12) for k in range(5))]))
     m.step()
-    assert mem.reads == [0x100]
+    assert mem.reads == list(range(0x100, 0x100 + isa.MAX_LENGTH))
     assert m.status is Status.INS and m.eip == 0x100
     assert m._icache == {} and m._icache_bytes == {}
 
@@ -485,6 +488,23 @@ def test_a_fetch_across_the_top_of_memory_spans_the_wrapped_addresses():
     assert m.regs[EAX] == 0x9A345678 and m.eip == 2
 
 
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+def test_a_fetch_into_an_unallocated_block_allocates_nothing(backend):
+    # Each window from 0x00FFFFFC on runs into block 1, which nothing wrote.
+    code = [0x20, 0x03, 0x10, 0x00]  # rrmovl %eax, %ebx; nop; halt
+    mem = asm.Image([(0x00FFFFFC + k, b) for k, b in enumerate(code)]).load(
+        backend())
+    before = list(mem.table) if backend is PagedMemory else mem.items()
+    m = Machine(mem, eip=0x00FFFFFC)
+    assert m.run(10) == 3
+    assert m.status is Status.HLT and m.eip == 0x00FFFFFF
+    assert m._icache_bytes == {0x00FFFFFC + k: b for k, b in enumerate(code)}
+    if backend is PagedMemory:
+        assert m.mem.pages_allocated() == 1 and m.mem.table == before
+    else:
+        assert m.mem.items() == before
+
+
 @pytest.mark.parametrize("base", [0x2000, 0xFFFFFFFE],
                          ids=["inside", "across-the-top"])
 def test_mrmovl_reads_its_four_addresses_once_in_order(base):
@@ -504,10 +524,11 @@ def test_mrmovl_reads_its_four_addresses_once_in_order(base):
 @pytest.mark.parametrize("where", [{"eip": 1 << 33}, {"eip": -1},
                                    {"esp": -5}, {"esp": 1 << 32},
                                    {"eip": 1.5}, {"esp": 2.0},
-                                   {"eip": 1.5, "esp": 2.0}],
+                                   {"eip": 1.5, "esp": 2.0},
+                                   {"eip": True}, {"esp": True}],
                          ids=["eip-high", "eip-negative", "esp-negative",
                               "esp-high", "eip-float", "esp-float",
-                              "both-float"])
+                              "both-float", "eip-bool", "esp-bool"])
 def test_reload_rejects_out_of_range_registers_like_init(where):
     with pytest.raises(ValueError, match="32-bit"):
         Machine(SparseMemory(), **where)
@@ -776,13 +797,18 @@ def test_set_reg_validation():
         m.set_reg(8, 0)
     with pytest.raises(ValueError):
         m.set_reg(0, 1 << 32)
-    # A non-int is rejected as not 32-bit before anything is written.
+    # A non-int or a bool is rejected as not 32-bit, and a register number
+    # that is not an int as not in range, before anything is written.
     before = m.update_count
-    for bad in (1.5, 2.0, "7", None):
+    for bad in (1.5, 2.0, "7", None, True, False):
         with pytest.raises(ValueError, match="32-bit"):
             m.set_reg(0, bad)
         with pytest.raises(ValueError, match="32-bit"):
             m.set_eip(bad)
+    for bad in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"register number {bad} not in")):
+            m.set_reg(bad, 0)
     assert m.regs == [0] * 8 and m.eip == 0 and m.update_count == before
 
 
