@@ -32,12 +32,6 @@ class InvalidInstruction(Y86Error):
 class AddressOutOfRange(Y86Error):
     """Memory address outside the 32-bit address space."""
 
-    @classmethod
-    def at(cls, addr) -> "AddressOutOfRange":
-        """The error for `addr`, shown in hex when it is an int."""
-        shown = f"{addr:#x}" if isinstance(addr, int) else repr(addr)
-        return cls(f"address {shown} not a 32-bit address")
-
 
 class ValueOutOfRange(Y86Error):
     """Stored value outside the byte range 0..255."""
@@ -45,10 +39,11 @@ class ValueOutOfRange(Y86Error):
 
 def access_error(addr, value=0) -> Y86Error:
     """The error a memory raises for a byte access of `value` at `addr` that
-    it refuses: AddressOutOfRange unless `addr` is an int in 0..2^32-1,
-    else ValueOutOfRange for `value`."""
+    it refuses: AddressOutOfRange naming `addr`, in hex when it is an int,
+    unless `addr` is an int in 0..2^32-1, else ValueOutOfRange for `value`."""
     if not (isinstance(addr, int) and 0 <= addr <= 0xFFFFFFFF):
-        return AddressOutOfRange.at(addr)
+        shown = f"{addr:#x}" if isinstance(addr, int) else repr(addr)
+        return AddressOutOfRange(f"address {shown} not a 32-bit address")
     return ValueOutOfRange(f"value {value} not a byte")
 
 

@@ -384,8 +384,8 @@ _SHRINK_ATTEMPTS = 60
 
 
 def _shrink_args(spec, export, source, pristine, args):
-    """Greedily shrink integer arguments toward 0 while the case still
-    fails; returns the smaller tuple or None."""
+    """Greedily shrink integer arguments toward 0, by magnitude, while the
+    case still fails; returns the smaller tuple or None."""
     if pristine is None:
         return None
 
@@ -407,8 +407,9 @@ def _shrink_args(spec, export, source, pristine, args):
         for idx, val in enumerate(best):
             if not isinstance(val, int) or isinstance(val, bool) or val == 0:
                 continue
-            for smaller in (0, val // 2, val - 1):
-                if smaller >= val:
+            sign = 1 if val > 0 else -1
+            for smaller in (0, sign * (abs(val) // 2), val - sign):
+                if abs(smaller) >= abs(val):
                     continue
                 candidate = best[:idx] + (smaller,) + best[idx + 1:]
                 attempts += 1

@@ -11,6 +11,14 @@ the decode cache across a reload, and `mismatch`, also use the backends'
 machines may run on distinct threads unless they share a sparse history
 (see `mem_sparse`).
 
+`read_byte`, `write_byte`, `read_word` and `write_word` take a 32-bit
+address and pass it to the backend unchanged, so only the backend refuses
+anything else, with AddressOutOfRange naming it.  The ISA's wrap modulo
+2^32 is done where an address is computed: `step` masks each effective
+address and stack pointer, and `write_word` masks its byte offsets.  A
+refused store changes nothing: the decode cache and a lockstep write set
+see only a store that happened.
+
 Decoded instructions are cached by address.  Only `step` fills the cache,
 and it returns the `Instruction` it ran.  A fetch on a miss is one
 `read_span` of `isa.MAX_LENGTH` bytes at eip; `decode` says how many of
@@ -37,11 +45,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    AddressOutOfRange,
-    CorrespondenceFailure,
-    InvalidInstruction,
-)
+from .errors import CorrespondenceFailure, InvalidInstruction
 from .isa import (
     MASK32,
     MAX_LENGTH,
@@ -64,6 +68,13 @@ __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
            "correspondence", "ESP"]
 
 ESP = 4  # stack pointer register number
+
+
+def _check_budget(n) -> None:
+    """Raise ValueError unless the step budget `n` is a natural number: an
+    int, not a bool, and not negative."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("step budget must be a natural number")
 
 
 class Machine:
@@ -137,34 +148,28 @@ class Machine:
     # -- memory access -------------------------------------------------------
 
     def read_byte(self, addr: int) -> int:
-        try:
-            addr &= MASK32
-        except TypeError:
-            raise AddressOutOfRange.at(addr) from None
         return self.mem.read(addr)
 
     def write_byte(self, addr: int, value: int) -> None:
-        try:
-            addr &= MASK32
-        except TypeError:
-            raise AddressOutOfRange.at(addr) from None
+        """Store, then drop a decode cache holding `addr` and record `addr`
+        in a lockstep write set; a store the memory refuses changes none."""
+        self.mem = self.mem.write(addr, value)
         if addr in self._icache_bytes:
             self._icache.clear()
             self._icache_bytes.clear()
             self.icache_clears += 1
         if self._step_writes is not None:
             self._step_writes.add(addr)
-        self.mem = self.mem.write(addr, value)
 
     def read_word(self, addr: int) -> int:
-        return int.from_bytes(self.mem.read_span(addr & MASK32, 4), "little")
+        return int.from_bytes(self.mem.read_span(addr, 4), "little")
 
     def write_word(self, addr: int, value: int) -> None:
         value &= MASK32
         self.write_byte(addr, value & 0xFF)
-        self.write_byte(addr + 1, (value >> 8) & 0xFF)
-        self.write_byte(addr + 2, (value >> 16) & 0xFF)
-        self.write_byte(addr + 3, value >> 24)
+        self.write_byte((addr + 1) & MASK32, (value >> 8) & 0xFF)
+        self.write_byte((addr + 2) & MASK32, (value >> 16) & 0xFF)
+        self.write_byte((addr + 3) & MASK32, value >> 24)
 
     # -- execution -----------------------------------------------------------
 
@@ -206,9 +211,9 @@ class Machine:
         elif kind is Kind.IRMOVL:
             r[instr.rb] = instr.value
         elif kind is Kind.MRMOVL:
-            r[instr.ra] = self.read_word(r[instr.rb] + instr.value)
+            r[instr.ra] = self.read_word((r[instr.rb] + instr.value) & MASK32)
         elif kind is Kind.RMMOVL:
-            self.write_word(r[instr.rb] + instr.value, r[instr.ra])
+            self.write_word((r[instr.rb] + instr.value) & MASK32, r[instr.ra])
         elif kind is Kind.CALL:
             sp = (r[ESP] - 4) & MASK32
             r[ESP] = sp
@@ -236,11 +241,11 @@ class Machine:
     def run(self, n: int, trace=None) -> int:
         """Step until `n` steps are consumed or status leaves AOK.
 
-        Returns the steps consumed; `n` is an `int`, as it goes through
-        `range`.  `trace`, when given, gets each step's `traced_step` line.
+        Returns the steps consumed; a budget `n` that is not a natural
+        number raises ValueError.  `trace`, when given, gets each step's
+        `traced_step` line.
         """
-        if n < 0:
-            raise ValueError("step budget must be a natural number")
+        _check_budget(n)
         step = self.step
         for k in range(n):
             if self.status is not Status.AOK:
@@ -403,8 +408,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
-    if n < 0:
-        raise ValueError("step budget must be a natural number")
+    _check_budget(n)
     if not isinstance(abstract.mem, SparseMemory):
         raise TypeError("abstract machine must use a sparse memory backend")
     if not isinstance(concrete.mem, PagedMemory):

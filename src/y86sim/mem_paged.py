@@ -71,7 +71,7 @@ class PagedMemory:
         """The `n` bytes at `addr` onwards, wrapping past 0xFFFFFFFF; raises
         what `read` raises for `addr`.  A span inside one block is one slice
         of the array, or `n` zeros in an unallocated block; one that crosses
-        a block or 2^32 is read byte by byte."""
+        a block or 2^32 is one `read_many` of its masked addresses."""
         try:
             if addr >> 32:
                 raise access_error(addr)
@@ -80,8 +80,7 @@ class PagedMemory:
         base = self.table[addr >> 24]
         offset = addr & _OFFSET_MASK
         if offset > PAGE_SIZE - n:
-            return bytes(map(self.read,
-                             [a & MASK32 for a in range(addr, addr + n)]))
+            return self.read_many([a & MASK32 for a in range(addr, addr + n)])
         if base == SENTINEL:
             return bytes(n)
         start = base | offset

@@ -91,19 +91,19 @@ class SparseMemory:
 
     def read_span(self, addr: int, n: int) -> bytes:
         """The `n` bytes at `addr` onwards, wrapping past 0xFFFFFFFF, in one
-        pass over the live dict; raises what `read` raises for `addr`."""
+        pass over the live dict; raises what `read` raises for `addr`.  A
+        span that crosses 2^32 is one `read_many` of its masked addresses."""
         try:
             if addr >> 32:
                 raise access_error(addr)
         except TypeError:  # not an int
             raise access_error(addr) from None
+        if addr > MEM_SIZE - n:
+            return self.read_many([a & MASK32 for a in range(addr, addr + n)])
         data = self._data
         if data is None:
             data = self._reroot()
         get = data.get
-        if addr > MEM_SIZE - n:
-            return bytes(map(get, [a & MASK32 for a in range(addr, addr + n)],
-                             repeat(0)))
         if n == 4:  # a word: four lookups cost less than a range and a map
             return bytes((get(addr, 0), get(addr + 1, 0), get(addr + 2, 0),
                           get(addr + 3, 0)))

@@ -16,9 +16,11 @@ from y86sim.errors import (
     PreservationFailure,
 )
 from y86sim.lockstep import (
+    CaseSource,
     DemoCases,
     DualState,
     EvenMap,
+    Export,
     LockstepSpec,
     OneField,
     SlotStore,
@@ -495,6 +497,28 @@ def test_mutation_wide_guard_detected():
     assert failures
 
 
+class _FixedArgs(CaseSource):
+    """Every case of every export gets `args`, on an unchanging pair."""
+
+    RESET_EVERY = 10
+
+    def __init__(self, args):
+        super().__init__()
+        self.args = args
+
+    def _fresh(self):
+        return [0, 0]
+
+    def _evolve(self, concrete, abstract, rng):
+        return abstract
+
+    def _args_for(self, name, rng, abstract):
+        return self.args
+
+    def snapshot(self, concrete, abstract):
+        return concrete, abstract
+
+
 def test_shrinking_minimizes_counterexample():
     spec = demo_spec(corrupt="odd-logic")
     report = check_obligations(spec, DemoCases(spec), n_cases=300, seed=9)
@@ -503,6 +527,20 @@ def test_shrinking_minimizes_counterexample():
     assert shrunk
     # The minimal failing update is index 0, value 0.
     assert "(0, 0)" in shrunk
+    # A negative argument shrinks by magnitude.  The exec side of `clamp`
+    # returns 0 for a negative argument, so every negative argument fails
+    # and no other does: -1 is the smallest failing one.
+    clamp = LockstepSpec(
+        name="clamp", recognizer_logic=lambda a: True,
+        creator_logic=lambda: 0, creator_exec=lambda: 0,
+        corr=lambda c, a: None,
+        exports=(Export("clamp", "reader", logic_fn=lambda a, v: v,
+                        exec_fn=lambda c, v: max(v, 0),
+                        guard=lambda a, v: isinstance(v, int)),))
+    for args, want in (((-5,), {"(-1,)"}), ((-64,), {"(-1,)"}), ((5,), set())):
+        report = check_obligations(clamp, _FixedArgs(args), n_cases=3, seed=1)
+        assert {f.shrunk_args for o in report.outcomes
+                for f in o.failures} == want
 
 
 def test_report_determinism_and_serialization():

@@ -7,7 +7,11 @@ import weakref
 import pytest
 
 from y86sim import asm, isa
-from y86sim.errors import CorrespondenceFailure
+from y86sim.errors import (
+    AddressOutOfRange,
+    CorrespondenceFailure,
+    ValueOutOfRange,
+)
 from y86sim.isa import (
     MASK32,
     Flags,
@@ -203,6 +207,57 @@ def test_word_round_trip_wraps_address_space():
     m.write_word(0xFFFFFFFE, 0xA1B2C3D4)
     assert m.read_word(0xFFFFFFFE) == 0xA1B2C3D4
     assert m.read_byte(0) == 0xB2  # third byte wraps to address 0
+
+
+def stored(mem):
+    """What a refused access must leave as it was."""
+    if isinstance(mem, PagedMemory):
+        return list(mem.table), mem.next_addr, mem.update_count
+    return mem.items()
+
+
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+@pytest.mark.parametrize("bad, shown", [(-1, "-0x1"),
+                                        (2**32, "0x100000000"),
+                                        (1.5, "1.5")],
+                         ids=["negative", "2**32", "float"])
+def test_accessors_pass_a_bad_address_to_the_memory(backend, bad, shown):
+    # The accessors neither wrap nor check an address: the memory refuses
+    # it, naming it.
+    m = Machine(backend(), image=asm.Image([(0, 0x10)]))
+    mem, before = m.mem, stored(m.mem)
+    for access in (m.read_byte, m.read_word,
+                   lambda a: m.write_byte(a, 1),
+                   lambda a: m.write_word(a, 0x01020304)):
+        with pytest.raises(AddressOutOfRange,
+                           match=f"^address {re.escape(shown)} not a 32-bit "
+                                 f"address$"):
+            access(bad)
+    assert m.mem is mem and stored(mem) == before
+
+
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+@pytest.mark.parametrize("addr, value, error", [
+    (2**32, 0x10, AddressOutOfRange),
+    (1, 256, ValueOutOfRange),
+], ids=["address-2**32", "value-256"])
+def test_a_refused_store_into_cached_code_changes_nothing(backend, addr,
+                                                          value, error):
+    # nop; nop; halt at 0, all cached.  2**32 would wrap to 0 and 256 is not
+    # a byte: the memory refuses both before the decode cache or the
+    # lockstep write set sees the store.
+    m = Machine(backend(), image=asm.Image([(0, 0x10), (1, 0x10), (2, 0x00)]))
+    m.run(3)
+    assert m.status is Status.HLT and len(m._icache) == 3
+    mem, before = m.mem, stored(m.mem)
+    icache, spans = dict(m._icache), dict(m._icache_bytes)
+    written = m._step_writes = set()
+    with pytest.raises(error):
+        m.write_byte(addr, value)
+    assert m.mem is mem and stored(mem) == before
+    assert m.mem.read_span(0, 3) == bytes([0x10, 0x10, 0x00])
+    assert m._icache == icache and m._icache_bytes == spans
+    assert m.icache_clears == 0 and written == set()
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +472,8 @@ def test_lockstep_wraps_across_top_of_memory():
 
 class ReadLog:
     """A memory over a sparse one that logs the address of each `read`; a
-    `read_span` is logged as the reads of its bytes, in order."""
+    `read_span` is logged as the reads of its bytes, in order, once the
+    sparse one has accepted its address."""
 
     def __init__(self):
         self.mem, self.reads = SparseMemory(), []
@@ -427,6 +483,7 @@ class ReadLog:
         return self.mem.read(addr)
 
     def read_span(self, addr, n):
+        self.mem.read_span(addr, n)  # refuses what a backend refuses
         return bytes(self.read((addr + k) & MASK32) for k in range(n))
 
     def write(self, addr, value):
@@ -505,12 +562,14 @@ def test_a_fetch_into_an_unallocated_block_allocates_nothing(backend):
         assert m.mem.items() == before
 
 
-@pytest.mark.parametrize("base", [0x2000, 0xFFFFFFFE],
-                         ids=["inside", "across-the-top"])
-def test_mrmovl_reads_its_four_addresses_once_in_order(base):
+@pytest.mark.parametrize("base, disp", [(0x2000, 0), (0xFFFFFFFE, 0),
+                                        (0xFFFFFFF0, 0x12)],
+                         ids=["inside", "across-the-top",
+                              "across-by-displacement"])
+def test_mrmovl_reads_its_four_addresses_once_in_order(base, disp):
     code = isa.encode(Instruction(Kind.MRMOVL, ra=Register.EAX,
-                                  rb=Register.EBX, value=0))
-    word = [(base + k) & MASK32 for k in range(4)]
+                                  rb=Register.EBX, value=disp))
+    word = [(base + disp + k) & MASK32 for k in range(4)]
     mem = ReadLog()
     m = Machine(mem, eip=0x100, image=asm.Image(
         [*((0x100 + k, b) for k, b in enumerate(code)),
@@ -743,11 +802,16 @@ def test_lockstep_clears_step_write_sets_when_it_fails():
 
 
 def test_lockstep_rejects_negative_budget():
+    # A budget that is negative, not an int, or a bool runs no step.
     concrete, abstract = lockstep_pair(STORE_LOOP)
-    with pytest.raises(ValueError, match="natural number"):
-        run_in_lockstep(concrete, abstract, -1)
-    with pytest.raises(ValueError, match="natural number"):
-        concrete.run(-1)
+    eip = concrete.eip
+    for bad in (-1, 1.5, True, False, 2.0, "3"):
+        with pytest.raises(ValueError, match="natural number"):
+            run_in_lockstep(concrete, abstract, bad)
+        with pytest.raises(ValueError, match="natural number"):
+            concrete.run(bad)
+        assert concrete.eip == abstract.eip == eip
+        assert concrete._step_writes is abstract._step_writes is None
 
 
 def test_reload_after_lockstep_drops_code_written_during_it():
