@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import os
 import random
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import (
     PoisonedState,
     Y86Error,
 )
-from .isa import MASK32, REGISTER_NAMES, Status
+from .isa import MASK32, REGISTER_NAMES, Status, format_instruction
 from .lockstep import (
     DemoCases,
     DualState,
@@ -47,6 +48,9 @@ from .mem_sparse import SparseMemory
 DEFAULT_STEPS = 300
 DEFAULT_ESP = 8192
 EAX, EDX = 0, 2
+# The address a memory difference found by a lockstep final sweep names.
+_SWEPT_ADDRESS = re.compile(
+    r"in the final sweep after step \d+: memory at (0x[0-9a-f]+) ")
 
 
 def bundled_program(name: str) -> str:
@@ -112,8 +116,32 @@ def _print_final(machine: Machine, steps: int) -> None:
                    for name, value in zip(REGISTER_NAMES, machine.regs)))
 
 
+def _replay(image: asm.Image, eip: int, esp: int, steps: int,
+            addr: int) -> str:
+    """Run a paged and a sparse machine from `image` again, as a lockstep
+    run does, reading `addr` on both after each step; returns the line
+    naming the first step after which the two differ there."""
+    concrete = Machine(PagedMemory(), eip=eip, esp=esp, image=image)
+    abstract = Machine(SparseMemory(), eip=eip, esp=esp, image=image)
+    where = f"memory at {addr:#x}"
+    if concrete.read_byte(addr) != abstract.read_byte(addr):
+        return (f"replay: no step made {where} differ; it differs from the "
+                f"start")
+    for k in range(1, steps + 1):
+        if abstract.status is not Status.AOK:
+            break
+        eip0 = abstract.eip
+        instr = abstract.step()
+        concrete.step()
+        if concrete.read_byte(addr) != abstract.read_byte(addr):
+            text = "(invalid)" if instr is None else format_instruction(instr)
+            return (f"replay: {where} first differs after step {k}, "
+                    f"{text} at {eip0:#x}")
+    return f"replay: no step made {where} differ"
+
+
 def cmd_run(image_path: str, backend: str, steps: int, entry: str | None,
-            esp: int, trace: bool, seed: int) -> int:
+            esp: int, trace: bool) -> int:
     try:
         image, symbols = asm.load_image(image_path)
         eip = _resolve_entry(entry, symbols, image)
@@ -130,11 +158,15 @@ def cmd_run(image_path: str, backend: str, steps: int, entry: str | None,
         machine = Machine(PagedMemory(), eip=eip, esp=esp, image=image)
         abstract = Machine(SparseMemory(), eip=eip, esp=esp, image=image)
         try:
-            report = run_in_lockstep(machine, abstract, steps, seed=seed,
-                                     trace=trace)
+            report = run_in_lockstep(machine, abstract, steps, trace=trace)
         except CorrespondenceFailure as exc:
-            # A divergence is a result of the run, like not halting.
+            # A divergence is a result of the run, like not halting.  When
+            # the final sweep names an address, a replay names the step.
             print(f"error: {exc}", file=sys.stderr)
+            swept = _SWEPT_ADDRESS.search(str(exc))
+            if swept:
+                print(_replay(image, eip, esp, steps, int(swept[1], 16)),
+                      file=sys.stderr)
             return 1
         _print_final(machine, report.steps)
         print(f"correspondence verified at {report.steps} steps, "
@@ -299,7 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "or the lowest image address)")
     p.add_argument("--esp", type=lambda s: int(s, 0), default=DEFAULT_ESP)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=seed,
+                   help="accepted and unused: no backend draws from it, "
+                        "and the lockstep backend checks the whole memory "
+                        "once the run ends")
 
     p = sub.add_parser("check", help="run the obligation suites")
     p.add_argument("target", choices=("demo-st", "const-stobj", "y86"))
@@ -322,7 +357,7 @@ def main(argv=None) -> int:
         return cmd_asm(args.source, args.output)
     if args.command == "run":
         return cmd_run(args.image, args.backend, args.steps, args.entry,
-                       args.esp, args.trace, args.seed)
+                       args.esp, args.trace)
     if args.command == "check":
         return cmd_check(args.target, args.cases, args.seed,
                          report_path=args.report)

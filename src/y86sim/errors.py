@@ -34,7 +34,8 @@ class AddressOutOfRange(Y86Error):
 
 
 class ValueOutOfRange(Y86Error):
-    """Stored value outside the byte range 0..255."""
+    """Stored value outside its range: 0..255 for a byte, 0..2^32-1 for a
+    word."""
 
 
 def access_error(addr, value=0) -> Y86Error:

@@ -40,12 +40,10 @@ strings differ.
 
 from __future__ import annotations
 
-import random
-import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CorrespondenceFailure, InvalidInstruction
+from .errors import CorrespondenceFailure, InvalidInstruction, ValueOutOfRange
 from .isa import (
     MASK32,
     MAX_LENGTH,
@@ -61,7 +59,7 @@ from .isa import (
     format_instruction,
     is_word,
 )
-from .mem_paged import PAGE_SIZE, PagedMemory
+from .mem_paged import CHUNK, PAGE_SIZE, PagedMemory
 from .mem_sparse import SparseMemory
 
 __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
@@ -165,7 +163,12 @@ class Machine:
         return int.from_bytes(self.mem.read_span(addr, 4), "little")
 
     def write_word(self, addr: int, value: int) -> None:
-        value &= MASK32
+        """Store `value` little-endian at `addr`; a value `is_word` rejects
+        raises ValueOutOfRange and stores nothing.  An exact int is checked
+        inline, since this is the store path."""
+        if not (value.__class__ is int and 0 <= value <= MASK32
+                or is_word(value)):
+            raise ValueOutOfRange(f"value {value!r} not a 32-bit word")
         self.write_byte(addr, value & 0xFF)
         self.write_byte((addr + 1) & MASK32, (value >> 8) & 0xFF)
         self.write_byte((addr + 2) & MASK32, (value >> 16) & 0xFF)
@@ -322,10 +325,6 @@ class Machine:
 
 # Eips of the most recent steps quoted in a divergence report.
 _RECENT_STEPS = 8
-# Random addresses probed after each lockstep step, drawn at once.
-_PROBES_PER_STEP = 32
-_PROBE_BITS = 32 * _PROBES_PER_STEP
-_unpack_probes = struct.Struct(f"<{_PROBES_PER_STEP}I").unpack
 # Addresses the correspondence compares besides those the sparse side holds.
 _FIXED_PROBES = (
     0, 1, 0x50, 0x56, 0xFF, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1,
@@ -344,8 +343,9 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
     memory at each of `addrs`, as in "%edx is 0x7 concrete vs 0x0 abstract"
     or "memory at 0x200 is 0x5b concrete vs 0x5a abstract".
 
-    Memory is compared in bulk: one `read_many` of the sequence `addrs` per
-    backend, and the two byte strings are walked only when they differ.
+    Memory is compared in bulk: one `read_many` of `addrs`, a sequence or a
+    set, per backend, and the two byte strings are walked only when they
+    differ.
     An address a backend cannot read raises what its `read` raises.
     """
     c, a = concrete, abstract
@@ -383,6 +383,21 @@ def correspondence(concrete, abstract):
                     [*abstract.mem.touched(), *_FIXED_PROBES])
 
 
+def _stray_byte(concrete, abstract):
+    """None when the paged memory holds as many nonzero bytes as the sparse
+    one has entries.  Else the first difference `mismatch` finds in the
+    lowest nonzero paged chunk that differs, or None when none does: then
+    a sparse entry differs, and `correspondence` names it."""
+    mem = concrete.mem
+    if (sum(CHUNK - chunk.count(0) for _, chunk in mem.nonzero_chunks())
+            == len(abstract.mem)):
+        return None
+    for addr, chunk in mem.nonzero_chunks():
+        if chunk != abstract.mem.read_span(addr, CHUNK):
+            return mismatch(concrete, abstract, range(addr, addr + CHUNK))
+    return None
+
+
 def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:
     trail = " ".join(f"{eip:#x}" for eip in recent) or "none"
     return CorrespondenceFailure(
@@ -397,14 +412,13 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     `concrete` must use a paged backend and `abstract` a sparse one.
     After every step the machines must agree on regs, eip, flags and
     status, and on each address that either of them wrote during that
-    step; `_PROBES_PER_STEP` (32) more addresses, drawn from `seed` inside
-    the blocks the paged memory has allocated, are probed as well.  A
-    step's probes come from one wide `getrandbits`, whose 32-bit words are
-    those of as many narrow draws: each word's top byte picks an allocated
-    block and its low 24 bits the offset there.  The written addresses and
-    the probes go to one `mismatch`.  The final sweep is `correspondence`.
-    Raises CorrespondenceFailure on the first divergence, naming the step,
-    the first difference and the last few eips.
+    step.  The final sweep, `_stray_byte` and then `correspondence`, holds
+    only when the memories are equal as functions: every sparse entry is a
+    nonzero paged byte, and there are as many of each.  Raises
+    CorrespondenceFailure on the first divergence, naming the step, the
+    first difference and the last few eips.  `seed` draws nothing.
+    `addresses_checked` counts the addresses `mismatch` compared: each
+    step's write set, then the final sweep's.
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
@@ -413,11 +427,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
         raise TypeError("abstract machine must use a sparse memory backend")
     if not isinstance(concrete.mem, PagedMemory):
         raise TypeError("concrete machine must use a paged memory backend")
-    getrandbits = random.Random(seed).getrandbits
     recent = deque(maxlen=_RECENT_STEPS)
     checked = steps = 0
-    allocated = -1
-    tops = b""
     # Both machines record the addresses they write in one step set.
     written = concrete._step_writes = abstract._step_writes = set()
     try:
@@ -429,30 +440,15 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
                 abstract.step()
             else:
                 trace(abstract.traced_step(steps))
-            mem = concrete.mem
-            if mem.next_addr != allocated:
-                allocated = mem.next_addr
-                blocks = mem.blocks()
-                # A draw's top byte picks an allocated block, its low bits an
-                # offset there; `tops` maps that byte to the block's number.
-                tops = bytes([blocks[x % len(blocks)] // PAGE_SIZE
-                              for x in range(256)]) if blocks else b""
-            addrs = [*written]
-            if tops:
-                # One wide draw holds the words of `_PROBES_PER_STEP` 32-bit
-                # draws, lowest first, and leaves the generator as they do.
-                raw = bytearray(getrandbits(_PROBE_BITS).to_bytes(
-                    _PROBE_BITS // 8, "little"))
-                raw[3::4] = raw[3::4].translate(tops)
-                addrs += _unpack_probes(raw)
-            difference = mismatch(concrete, abstract, addrs)
+            difference = mismatch(concrete, abstract, written)
             if difference is not None:
                 raise _divergence(f"at step {steps}", difference, recent)
-            checked += len(addrs)
+            checked += len(written)
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    difference = correspondence(concrete, abstract)
+    difference = (_stray_byte(concrete, abstract)
+                  or correspondence(concrete, abstract))
     if difference is not None:
         raise _divergence(f"in the final sweep after step {steps}", difference,
                           recent)

@@ -16,17 +16,28 @@ no resident memory, so a new block costs no 16MB zero-fill.  Growth needs
 a resizable anonymous mapping: on a system without `mremap`, growing past
 the first block raises `AllocationFailure`, as does any mapping the OS
 refuses.
+
+`nonzero_chunks` yields the `CHUNK`-byte chunks of the allocated blocks
+that hold a nonzero byte.  It reads only the chunks with an OS page that
+the kernel has mapped or swapped, as `/proc/self/pagemap` records them
+(bits 63 and 62 of a page's entry); every other page of the mapping reads
+0.  Where the pagemap cannot be read it reads every chunk: the chunks are
+the same, only found slower.  `copy` writes only those chunks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import mmap
+import os
+import sys
 from array import array
 
 from .errors import AddressOutOfRange, AllocationFailure, access_error
 from .isa import MASK32, MEM_SIZE
 
-__all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "PagedMemory"]
+__all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "CHUNK",
+           "PagedMemory"]
 
 TABLE_SIZE = 256
 PAGE_SIZE = 1 << 24
@@ -35,9 +46,37 @@ SENTINEL = 1
 
 _OFFSET_MASK = PAGE_SIZE - 1
 
+# A block is a whole number of chunks, and a chunk of OS pages.
+CHUNK = max(1 << 16, mmap.PAGESIZE)
+_ZERO_CHUNK = bytes(CHUNK)
+_PAGES_PER_CHUNK = CHUNK // mmap.PAGESIZE
+# Maps the top byte of a pagemap entry to 1 when its bit 63 (present) or 62
+# (swapped) is set.
+_MAPPED = bytes(1 if b & 0xC0 else 0 for b in range(256))
+
 
 def _mapping(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+
+
+def _mapped_pages(data: mmap.mmap) -> bytes:
+    """One byte per OS page of `data`, 1 where the kernel has mapped or
+    swapped the page, from one read of its pagemap entries; raises OSError
+    when they cannot be read."""
+    if sys.platform != "linux":
+        raise OSError("no /proc/self/pagemap")
+    # The buffer export lives only for this expression, so a later
+    # `mmap.resize` still works.
+    start = ctypes.addressof(ctypes.c_char.from_buffer(data))
+    size = 8 * (len(data) // mmap.PAGESIZE)
+    fd = os.open("/proc/self/pagemap", os.O_RDONLY)
+    try:
+        raw = os.pread(fd, size, 8 * (start // mmap.PAGESIZE))
+    finally:
+        os.close(fd)
+    if len(raw) != size:
+        raise OSError("short read of /proc/self/pagemap")
+    return raw[7::8].translate(_MAPPED)
 
 
 class PagedMemory:
@@ -87,8 +126,8 @@ class PagedMemory:
         return self.array[start:start + n]
 
     def read_many(self, addrs) -> bytes:
-        """`bytes(map(self.read, addrs))` for a sequence `addrs`, in one pass
-        over the live table and array; raises what `read` raises."""
+        """`bytes(map(self.read, addrs))` for a sequence or set `addrs`, in one
+        pass over the live table and array; raises what `read` raises."""
         try:
             array("I", addrs)  # every address a 32-bit int, checked in C
         except (TypeError, OverflowError):
@@ -154,12 +193,48 @@ class PagedMemory:
     def pages_allocated(self) -> int:
         return self.next_addr // PAGE_SIZE
 
+    def _chunks_to_read(self):
+        """(address, array offset) of each chunk of an allocated block that
+        can hold a nonzero byte, lowest address first: every chunk with a
+        page the kernel has mapped or swapped, or every chunk when the
+        pagemap cannot be read."""
+        data = self.array
+        try:
+            mapped = _mapped_pages(data) if data else b""
+        except OSError:
+            mapped = b"\1" * (len(data) // mmap.PAGESIZE)
+        for top, base in enumerate(self.table):
+            if base == SENTINEL:
+                continue
+            end = (base + PAGE_SIZE) // mmap.PAGESIZE
+            page = mapped.find(1, base // mmap.PAGESIZE, end)
+            while page >= 0:
+                page -= page % _PAGES_PER_CHUNK
+                start = page * mmap.PAGESIZE
+                yield (top << 24) | (start - base), start
+                page = mapped.find(1, page + _PAGES_PER_CHUNK, end)
+
+    def nonzero_chunks(self):
+        """(address, bytes) of each `CHUNK`-byte chunk of an allocated block
+        that holds a nonzero byte, lowest address first."""
+        data = self.array
+        for addr, start in self._chunks_to_read():
+            chunk = data[start:start + CHUNK]
+            if chunk != _ZERO_CHUNK:
+                yield addr, chunk
+
     def copy(self) -> "PagedMemory":
+        """An independent memory with equal contents; only the chunks that
+        hold a nonzero byte are written, so no other page of the copy is
+        resident."""
         new = object.__new__(PagedMemory)
         new.table = list(self.table)
         if self.array:
             new.array = _mapping(len(self.array))
-            new.array[:] = self.array
+            table = self.table
+            for addr, chunk in self.nonzero_chunks():
+                start = table[addr >> 24] | (addr & _OFFSET_MASK)
+                new.array[start:start + CHUNK] = chunk
         else:
             new.array = b""
         new.next_addr = self.next_addr

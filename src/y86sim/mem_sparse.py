@@ -110,8 +110,8 @@ class SparseMemory:
         return bytes(map(get, range(addr, addr + n), repeat(0)))
 
     def read_many(self, addrs) -> bytes:
-        """`bytes(map(self.read, addrs))` for a sequence `addrs`, in one pass
-        over the live dict; raises what `read` raises."""
+        """`bytes(map(self.read, addrs))` for a sequence or set `addrs`, in one
+        pass over the live dict; raises what `read` raises."""
         try:
             array("I", addrs)  # every address a 32-bit int, checked in C
         except (TypeError, OverflowError):

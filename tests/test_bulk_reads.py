@@ -1,6 +1,6 @@
 """Bulk memory reads: `read_span` and `read_many` against per-address
 reads, `mismatch` against a per-address walk, both `wellformed()` checks
-against their per-entry statements, and the addresses lockstep probes."""
+against their per-entry statements, and the addresses lockstep compares."""
 
 import random
 from array import array
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from y86sim import asm, machine
 from y86sim.errors import AddressOutOfRange, ValueOutOfRange
+from y86sim.isa import MASK32, Kind
 from y86sim.machine import (
     _FIXED_PROBES,
-    _PROBES_PER_STEP,
+    ESP,
     Machine,
     mismatch,
     run_in_lockstep,
@@ -252,12 +253,12 @@ def test_mismatch_names_the_first_difference_of_a_per_address_walk(
 
 
 # ---------------------------------------------------------------------------
-# the lockstep probes
+# the addresses lockstep compares
 
 def test_a_wide_draw_holds_the_narrow_draws_lowest_first():
-    # run_in_lockstep takes each step's probes from one wide draw; if a
-    # Python changes this, the probes move and this fails.
-    for k in (1, 2, 3, _PROBES_PER_STEP):
+    # A wide `getrandbits` is as many 32-bit draws, lowest word first, and
+    # leaves the generator as they do.
+    for k in (1, 2, 3, 32):
         for seed in (0, 1, 1009):
             wide, narrow = random.Random(seed), random.Random(seed)
             x = wide.getrandbits(32 * k)
@@ -289,10 +290,19 @@ loop:
 """
 
 
-def probe_formula(blocks, getrandbits):
-    """A step's probes drawn one 32-bit word at a time."""
-    return [blocks[(x >> 24) % len(blocks)] | (x & (PAGE_SIZE - 1))
-            for x in (getrandbits(32) for _ in range(_PROBES_PER_STEP))]
+def words_written(m: Machine) -> list[int]:
+    """Step `m` once; the addresses that step stores to, from the kind of
+    the instruction it ran and the registers before it."""
+    regs = list(m.regs)
+    instr = m.step()
+    kind = None if instr is None else instr.kind
+    if kind is Kind.RMMOVL:
+        start = regs[instr.rb] + instr.value
+    elif kind in (Kind.CALL, Kind.PUSHL):
+        start = regs[ESP] - 4
+    else:
+        return []
+    return [(start + i) & MASK32 for i in range(4)]
 
 
 def recorded_lockstep(monkeypatch, concrete, abstract, seed):
@@ -310,28 +320,34 @@ def recorded_lockstep(monkeypatch, concrete, abstract, seed):
 @pytest.mark.parametrize("case", ["popcount", "walk"])
 def test_lockstep_probe_addresses_are_pinned(monkeypatch, popcount_assembled,
                                              case):
+    # Each step compares the addresses that step wrote; the final sweep
+    # compares the sparse entries and the fixed probes.  No address is
+    # drawn, so every seed compares the same ones.
     if case == "popcount":  # one block, as perfbench's popcount leg runs
         image, symbols = popcount_assembled
-        entry, seed, steps, checked = symbols["call-popcount"], 3, 186, 5994
+        entry, steps, checked = symbols["call-popcount"], 186, 42
     else:  # four blocks, three of them allocated during the run
         image, symbols = asm.assemble(asm.parse(WALK))
-        entry, seed, steps, checked = symbols["main"], 5, 47, 1661
-    concrete = Machine(PagedMemory(), eip=entry, esp=8192, image=image)
-    abstract = Machine(SparseMemory(), eip=entry, esp=8192, image=image)
-    concrete.regs[2] = abstract.regs[2] = 0x9E3779B9
-    report, calls = recorded_lockstep(monkeypatch, concrete, abstract, seed)
-    *per_step, final = calls
-    assert report.steps == len(per_step) == steps
-    getrandbits = random.Random(seed).getrandbits
-    for addrs, blocks in per_step:
-        probes = probe_formula(blocks, getrandbits)
-        written = addrs[:len(addrs) - len(probes)]
-        assert addrs[len(written):] == probes
-        assert len(set(written)) == len(written)
-    assert len(final[1]) == (1 if case == "popcount" else 4)
-    assert final[0] == [*abstract.mem.touched(), *_FIXED_PROBES]
-    assert report.addresses_checked == checked \
-        == sum(len(addrs) for addrs, _ in calls)
+        entry, steps, checked = symbols["main"], 47, 157
+    runs = []
+    for seed in (3, 5):
+        machines = [Machine(mem(), eip=entry, esp=8192, image=image)
+                    for mem in (PagedMemory, SparseMemory, SparseMemory)]
+        for m in machines:
+            m.regs[2] = 0x9E3779B9
+        concrete, abstract, oracle = machines
+        report, calls = recorded_lockstep(monkeypatch, concrete, abstract,
+                                          seed)
+        *per_step, final = calls
+        assert report.steps == len(per_step) == steps
+        for addrs, _ in per_step:
+            assert sorted(addrs) == sorted(words_written(oracle))
+        assert len(final[1]) == (1 if case == "popcount" else 4)
+        assert final[0] == [*abstract.mem.touched(), *_FIXED_PROBES]
+        assert report.addresses_checked == checked \
+            == sum(len(addrs) for addrs, _ in calls)
+        runs.append(calls)
+    assert runs[0] == runs[1]
 
 
 def test_lockstep_draws_no_probe_while_no_block_is_allocated(monkeypatch):

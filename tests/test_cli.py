@@ -127,6 +127,69 @@ def test_run_lockstep_divergence_is_one_error_line(tmp_path, capsys,
                           "0x1000010 is 0xee concrete vs 0xef abstract; ")
 
 
+class StrayPaged(PagedMemory):
+    """Stores each byte also at its address XOR 0x800000."""
+
+    def write(self, addr, value):
+        super().write(addr ^ 0x800000, value)
+        return super().write(addr, value)
+
+
+# The store at step 3 strays to 0x1000, below every stray of the image.
+UPPER_HALF_STORE = (
+    "main:\n"
+    "  irmovl $0x5a, %eax\n"
+    "  irmovl $0x801000, %ebx\n"
+    "  rmmovl %eax, 0(%ebx)\n"
+    "  halt\n")
+
+
+def test_run_lockstep_names_the_step_of_a_stray_byte(tmp_path, capsys,
+                                                     monkeypatch):
+    source = tmp_path / "upper.ys"
+    source.write_text(UPPER_HALF_STORE)
+    image = tmp_path / "upper.yim"
+    assert main(["asm", str(source), "-o", str(image)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("y86sim.cli.PagedMemory", StrayPaged)
+    for seed in ("1", "2"):
+        assert main(["run", str(image), "--backend", "lockstep",
+                     "--seed", seed]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: lockstep diverged in the final sweep after step 4: "
+            "memory at 0x1000 is 0x5a concrete vs 0x00 abstract; eips of "
+            "the last 4 steps: 0x0 0x6 0xc 0x12",
+            "replay: memory at 0x1000 first differs after step 3, "
+            "rmmovl %eax, 0x0(%ebx) at 0xc"]
+
+
+def test_run_lockstep_replay_says_when_no_step_made_the_difference(
+        tmp_path, capsys, monkeypatch):
+    # The image's first byte strays to 0x800000 as it loads, before step 1.
+    source = tmp_path / "simple.ys"
+    source.write_text(bundled_program("simple.ys"))
+    image = tmp_path / "simple.yim"
+    assert main(["asm", str(source), "-o", str(image)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("y86sim.cli.PagedMemory", StrayPaged)
+    assert main(["run", str(image), "--backend", "lockstep"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert "in the final sweep after step 2: memory at 0x80" in err[0]
+    assert err[1].startswith("replay: no step made memory at 0x80")
+    assert err[1].endswith(" differ; it differs from the start")
+
+
+def test_run_help_says_the_seed_draws_nothing(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--seed SEED accepted and unused: no backend draws from it" \
+        in help_text
+
+
 def test_run_trace(simple_yim, capsys):
     main(["run", str(simple_yim), "--trace"])
     out = capsys.readouterr().out
@@ -327,7 +390,7 @@ PINNED_OUTPUTS = {
     "check demo-st --cases 600 --seed 3 --report R": "ec98949876e5bd9d",
     "check const-stobj --report R": "8e2969034b94dd5b",
     "run stress.yim --backend sparse --trace": "69531d62d43bb9b6",
-    "run stress.yim --backend lockstep --trace --seed 5": "f5f676a80dc017f9",
+    "run stress.yim --backend lockstep --trace --seed 5": "e4e26f4b707e1d49",
     "popcount --width 4 --samples 5 --seed 1": "1a3a1ab8fbf601ef",
 }
 

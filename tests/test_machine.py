@@ -1,5 +1,6 @@
 """Processor model: init, instruction semantics, run, backend equivalence."""
 
+import os
 import random
 import re
 import weakref
@@ -258,6 +259,36 @@ def test_a_refused_store_into_cached_code_changes_nothing(backend, addr,
     assert m.mem.read_span(0, 3) == bytes([0x10, 0x10, 0x00])
     assert m._icache == icache and m._icache_bytes == spans
     assert m.icache_clears == 0 and written == set()
+
+
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+@pytest.mark.parametrize("value", [-1, 2**32, 2**40, 1.5, True, "7", None],
+                         ids=["-1", "2**32", "2**40", "1.5", "True", "str",
+                              "None"])
+def test_write_word_refuses_a_value_that_is_not_a_word(backend, value):
+    # Code at 0 is cached, and a lockstep write set is open: a refused word
+    # changes neither, nor the memory.
+    m = Machine(backend(), image=asm.Image([(0, 0x10), (1, 0x10), (2, 0x00)]))
+    m.run(3)
+    mem, before = m.mem, stored(m.mem)
+    icache, spans = dict(m._icache), dict(m._icache_bytes)
+    written = m._step_writes = set()
+    with pytest.raises(ValueOutOfRange,
+                       match=f"^value {re.escape(repr(value))} not a 32-bit "
+                             f"word$"):
+        m.write_word(0, value)
+    assert m.mem is mem and stored(mem) == before
+    assert m.mem.read_span(0, 4) == bytes([0x10, 0x10, 0x00, 0x00])
+    assert m._icache == icache and m._icache_bytes == spans
+    assert m.icache_clears == 0 and written == set()
+
+
+@pytest.mark.parametrize("backend", [PagedMemory, SparseMemory])
+def test_write_word_takes_every_word_and_an_int_subclass(backend):
+    m = Machine(backend())
+    for value in (0, 1, 0x7FFFFFFF, 0x80000000, MASK32, Register.EDI):
+        m.write_word(0x100, value)
+        assert m.read_word(0x100) == value
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +753,78 @@ def test_lockstep_names_address_of_corrupted_paged_write(monkeypatch):
 
 def test_lockstep_probes_catch_corrupted_allocated_block():
     concrete, abstract = lockstep_pair(STORE_LOOP)
-    # Corrupt block 0 above the image, where no step writes.
+    # Corrupt block 0 above the image, where no step writes.  The final
+    # sweep names the lowest corrupted address.
     concrete.mem.array[0x1000:PAGE_SIZE] = bytes([1]) * (PAGE_SIZE - 0x1000)
     with pytest.raises(CorrespondenceFailure) as info:
         run_in_lockstep(concrete, abstract, 100)
-    assert re.search(r"at step 1: memory at 0x[0-9a-f]+ is 0x01 concrete "
-                     r"vs 0x00 abstract", str(info.value))
+    assert ("in the final sweep after step 100: memory at 0x1000 is 0x01 "
+            "concrete vs 0x00 abstract") in str(info.value)
+
+
+# Allocates block 7 at step 3, its only store; 4 steps in all.
+BLOCK7_STORE = (
+    "main:\n"
+    "  irmovl $0x5a, %eax\n"
+    "  irmovl $0x07000100, %ebx\n"
+    "  rmmovl %eax, 0(%ebx)\n"
+    "  halt\n")
+
+
+def pagemap_refused(*args):
+    raise OSError("pagemap refused")
+
+
+@pytest.mark.parametrize("pagemap", ["read", "refused"])
+@pytest.mark.parametrize("stray, when", [
+    (0x07000000, "before"),  # first byte of an allocated block
+    (0x07FFFFFF, "before"),  # last byte of an allocated block
+    (0x00345678, "before"),  # a page of block 0 that nothing touches
+    (0x07ABCDEF, "during"),  # a block allocated during the run
+], ids=["first-byte", "last-byte", "untouched-page", "new-block"])
+def test_lockstep_reports_a_stray_byte_on_every_run(monkeypatch, pagemap,
+                                                     stray, when):
+    if pagemap == "refused":
+        monkeypatch.setattr(os, "pread", pagemap_refused)
+    for seed in range(4):
+        concrete, abstract = lockstep_pair(BLOCK7_STORE)
+        if when == "before":
+            concrete.mem.write(0x07000000, 0)  # allocates block 7 now
+            concrete.mem.write(stray, 0xEE)
+
+        def plant(line):
+            # Stored behind both machines' backs once block 7 exists.
+            if when == "during" and len(concrete.mem.blocks()) == 2:
+                concrete.mem.write(stray, 0xEE)
+
+        with pytest.raises(CorrespondenceFailure) as info:
+            run_in_lockstep(concrete, abstract, 100, seed=seed, trace=plant)
+        assert (f"in the final sweep after step 4: memory at {stray:#x} is "
+                f"0xee concrete vs 0x00 abstract") in str(info.value)
+
+
+class StrayPaged(PagedMemory):
+    """Stores each byte also at its address XOR 0x800000."""
+
+    def write(self, addr, value):
+        super().write(addr ^ 0x800000, value)
+        return super().write(addr, value)
+
+
+def test_lockstep_reports_the_stray_write_mutant_on_every_run(monkeypatch):
+    # The image loads below 0x800000, so its strays land above; the store
+    # at 0x07000100 strays to 0x07800100.  The lowest is reported.
+    for pagemap in ("read", "refused"):
+        if pagemap == "refused":
+            monkeypatch.setattr(os, "pread", pagemap_refused)
+        for seed in range(4):
+            image, _ = asm.assemble(asm.parse(BLOCK7_STORE))
+            concrete = Machine(StrayPaged(), esp=8192, image=image)
+            abstract = Machine(SparseMemory(), esp=8192, image=image)
+            with pytest.raises(CorrespondenceFailure) as info:
+                run_in_lockstep(concrete, abstract, 100, seed=seed)
+            assert ("in the final sweep after step 4: memory at 0x800000 is "
+                    "0x30 concrete vs 0x00 abstract") in str(info.value)
 
 
 def test_lockstep_final_sweep_catches_unrecorded_store():

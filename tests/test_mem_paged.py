@@ -4,6 +4,8 @@ import errno
 import mmap
 import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from y86sim.errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
 from y86sim.mem_paged import (
+    CHUNK,
     MEM_SIZE,
     PAGE_SIZE,
     SENTINEL,
@@ -327,3 +330,141 @@ def test_a_refused_growth_is_an_allocation_failure(monkeypatch):
     RefusingResize.refuse = False
     mem.write(block_addr(200, 3), 0x23)
     assert mem.read(block_addr(200, 3)) == 0x23 and mem.wellformed()
+
+
+# ---------------------------------------------------------------------------
+# nonzero chunks, and the copy over them
+
+def full_scan(mem):
+    """(address, chunk) of every nonzero chunk, found by reading them all."""
+    found = []
+    for block in mem.blocks():
+        base = mem.table[block >> 24]
+        for offset in range(0, PAGE_SIZE, CHUNK):
+            chunk = mem.array[base + offset:base + offset + CHUNK]
+            if chunk.count(0) != CHUNK:
+                found.append((block | offset, chunk))
+    return found
+
+
+def refuse_pagemap(*args):
+    raise OSError(errno.EACCES, "pagemap refused")
+
+
+def short_pagemap(*args):
+    return b""
+
+
+# Bytes of 0 are kept: a page written back to zero is mapped but reads 0.
+chunk_writes = st.lists(st.tuples(test_addrs, st.sampled_from([0, 1, 0xFF])),
+                        max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=chunk_writes, pagemap=st.sampled_from(["read", "refused", "short"]))
+def test_nonzero_chunks_count_equals_a_full_scan(ops, pagemap):
+    mem = PagedMemory()
+    for addr, value in ops:
+        mem.write(addr, value)
+    fake = {"refused": refuse_pagemap, "short": short_pagemap}.get(pagemap)
+    with pytest.MonkeyPatch.context() as patch:
+        if fake:
+            patch.setattr(os, "pread", fake)
+        chunks = list(mem.nonzero_chunks())
+    scanned = full_scan(mem)
+    assert chunks == scanned
+    assert sum(CHUNK - c.count(0) for _, c in chunks) \
+        == sum(CHUNK - c.count(0) for _, c in scanned) \
+        == sum(1 for value in dict(ops).values() if value)
+
+
+def test_without_the_pagemap_every_chunk_is_read(monkeypatch):
+    mem = PagedMemory()
+    mem.write(block_addr(3, 5), 1)
+    monkeypatch.setattr(os, "pread", refuse_pagemap)
+    assert len(list(mem._chunks_to_read())) == PAGE_SIZE // CHUNK
+    assert list(mem.nonzero_chunks()) == full_scan(mem)
+
+
+@pytest.mark.parametrize("bit, read", [(63, True), (62, True), (61, False),
+                                       (55, False), (0, False)],
+                         ids=["present", "swapped", "file", "soft-dirty",
+                              "pfn"])
+def test_only_a_present_or_swapped_page_is_read(monkeypatch, bit, read):
+    # A made-up pagemap marks only the page holding the byte, with one bit.
+    offset = 5 * CHUNK + 3 * mmap.PAGESIZE + 9
+    mem = PagedMemory()
+    mem.write(block_addr(2, offset), 0x77)
+
+    def pagemap(fd, size, at):
+        entries = [0] * (size // 8)
+        entries[offset // mmap.PAGESIZE] = 1 << bit
+        return b"".join(e.to_bytes(8, "little") for e in entries)
+
+    monkeypatch.setattr(os, "pread", pagemap)
+    chunks = list(mem.nonzero_chunks())
+    assert len(chunks) == (1 if read else 0)
+    if read:
+        assert chunks == full_scan(mem)
+
+
+def huge_pages_always():
+    """Whether the kernel may back one written byte with a huge page, which
+    maps more than one chunk."""
+    root = Path("/sys/kernel/mm/transparent_hugepage")
+    texts = [p.read_text() for p in [root / "enabled",
+                                     *root.glob("hugepages-*/enabled")]
+             if p.exists()]
+    return any("[always]" in text for text in texts)
+
+
+linux_pagemap = pytest.mark.skipif(
+    sys.platform != "linux" or huge_pages_always(),
+    reason="needs /proc/self/pagemap and no transparent huge pages")
+
+
+@linux_pagemap
+def test_the_pagemap_path_reads_one_chunk_of_a_fresh_block():
+    mem = PagedMemory()
+    mem.write(block_addr(7, 0x123456), 0x42)
+    assert list(mem._chunks_to_read()) == [(block_addr(7, 0x120000), 0x120000)]
+    assert list(mem.nonzero_chunks()) == full_scan(mem)
+
+
+def one_byte_per_block():
+    mem = PagedMemory()
+    for top, offset in ((4, 77), (1, PAGE_SIZE - 1), (9, 0)):
+        mem.write(block_addr(top, offset), 0x40 | top)
+    return mem
+
+
+def test_copy_writes_one_chunk_per_block():
+    mem = one_byte_per_block()
+    assert len(list(mem.nonzero_chunks())) == 3
+    dup = mem.copy()
+    assert list(dup.nonzero_chunks()) == list(mem.nonzero_chunks())
+    assert dup.table == mem.table and dup.wellformed()
+
+
+@linux_pagemap
+def test_copy_maps_only_the_chunks_it_writes():
+    dup = one_byte_per_block().copy()
+    assert [addr for addr, _ in dup._chunks_to_read()] == [
+        block_addr(1, PAGE_SIZE - CHUNK), block_addr(4, 0), block_addr(9, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=chunk_writes, addrs=st.lists(test_addrs, max_size=30),
+       pagemap=st.booleans())
+def test_copy_reads_as_its_source(ops, addrs, pagemap):
+    mem = PagedMemory()
+    for addr, value in ops:
+        mem.write(addr, value)
+    with pytest.MonkeyPatch.context() as patch:
+        if not pagemap:
+            patch.setattr(os, "pread", refuse_pagemap)
+        dup = mem.copy()
+    addrs = [*addrs, *(a for a, _ in ops)]
+    assert dup.read_many(addrs) == mem.read_many(addrs)
+    assert full_scan(dup) == full_scan(mem)
+    assert dup.wellformed() and dup.update_count == mem.update_count
