@@ -35,7 +35,8 @@ corresponds to a sparse one: `y86_spec()` registers it as `corr`, and
 `run_in_lockstep` ends with it.  `mismatch` is the one memory comparison
 of both, and of every lockstep step: it reads its addresses in bulk, one
 `read_many` per backend, and names a difference only when the two byte
-strings differ.
+strings differ.  Given no address, as after a step that stored nothing, it
+reads no memory.
 """
 
 from __future__ import annotations
@@ -343,10 +344,10 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
     memory at each of `addrs`, as in "%edx is 0x7 concrete vs 0x0 abstract"
     or "memory at 0x200 is 0x5b concrete vs 0x5a abstract".
 
-    Memory is compared in bulk: one `read_many` of `addrs`, a sequence or a
-    set, per backend, and the two byte strings are walked only when they
-    differ.
-    An address a backend cannot read raises what its `read` raises.
+    Memory is compared in bulk: one `read_many` of `addrs`, any iterable,
+    per backend, and the two byte strings are walked only when they differ.
+    Empty `addrs` read no memory.  An address a backend cannot read raises
+    what its `read` raises.
     """
     c, a = concrete, abstract
     if (c.regs != a.regs or c.eip != a.eip or c.zf != a.zf
@@ -358,6 +359,10 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
                   ("status", c.status.value, a.status.value)]
         field, got, want = next(f for f in fields if f[1] != f[2])
         return f"{field} is {got} concrete vs {want} abstract"
+    if not addrs:
+        return None
+    if iter(addrs) is addrs:  # a one-shot iterator: both sides read it
+        addrs = list(addrs)
     cbytes, abytes = c.mem.read_many(addrs), a.mem.read_many(addrs)
     if cbytes != abytes:
         addr, got, want = next(f for f in zip(addrs, cbytes, abytes)
@@ -385,9 +390,11 @@ def correspondence(concrete, abstract):
 
 def _stray_byte(concrete, abstract):
     """None when the paged memory holds as many nonzero bytes as the sparse
-    one has entries.  Else the first difference `mismatch` finds in the
-    lowest nonzero paged chunk that differs, or None when none does: then
-    a sparse entry differs, and `correspondence` names it."""
+    one has entries, counted over the OS pages `nonzero_chunks` yields, so
+    only pages the kernel mapped are read.  Else the first difference
+    `mismatch` finds in the lowest nonzero page of the paged memory that
+    differs, or None when none does: then a sparse entry differs, and
+    `correspondence` names it."""
     mem = concrete.mem
     if (sum(CHUNK - chunk.count(0) for _, chunk in mem.nonzero_chunks())
             == len(abstract.mem)):
@@ -412,11 +419,12 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     `concrete` must use a paged backend and `abstract` a sparse one.
     After every step the machines must agree on regs, eip, flags and
     status, and on each address that either of them wrote during that
-    step.  The final sweep, `_stray_byte` and then `correspondence`, holds
-    only when the memories are equal as functions: every sparse entry is a
-    nonzero paged byte, and there are as many of each.  Raises
-    CorrespondenceFailure on the first divergence, naming the step, the
-    first difference and the last few eips.  `seed` draws nothing.
+    step; a step that stored nothing reads no memory.  The final sweep,
+    `_stray_byte` and then `correspondence`, holds only when the memories
+    are equal as functions: every sparse entry is a nonzero paged byte, and
+    there are as many of each, counted over the OS pages the kernel mapped.
+    Raises CorrespondenceFailure on the first divergence, naming the step,
+    the first difference and the last few eips.  `seed` draws nothing.
     `addresses_checked` counts the addresses `mismatch` compared: each
     step's write set, then the final sweep's.
     `trace`, when given, is called with the abstract side's trace line for
@@ -431,13 +439,14 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     checked = steps = 0
     # Both machines record the addresses they write in one step set.
     written = concrete._step_writes = abstract._step_writes = set()
+    concrete_step, abstract_step = concrete.step, abstract.step
     try:
         while steps < n and abstract.status is Status.AOK:
             recent.append(abstract.eip)
-            concrete.step()
+            concrete_step()
             steps += 1
             if trace is None:
-                abstract.step()
+                abstract_step()
             else:
                 trace(abstract.traced_step(steps))
             difference = mismatch(concrete, abstract, written)

@@ -17,12 +17,14 @@ a resizable anonymous mapping: on a system without `mremap`, growing past
 the first block raises `AllocationFailure`, as does any mapping the OS
 refuses.
 
-`nonzero_chunks` yields the `CHUNK`-byte chunks of the allocated blocks
-that hold a nonzero byte.  It reads only the chunks with an OS page that
+`nonzero_chunks` yields the OS pages (`CHUNK` bytes each) of the
+allocated blocks that hold a nonzero byte.  It reads only the pages that
 the kernel has mapped or swapped, as `/proc/self/pagemap` records them
 (bits 63 and 62 of a page's entry); every other page of the mapping reads
-0.  Where the pagemap cannot be read it reads every chunk: the chunks are
-the same, only found slower.  `copy` writes only those chunks.
+0.  Where the pagemap cannot be read it compares each `_STRIDE`-byte
+stride of the mapping with zero and reads every page of the strides that
+differ: the pages are the same, only found slower.  `copy` writes only
+those pages.
 """
 
 from __future__ import annotations
@@ -46,10 +48,15 @@ SENTINEL = 1
 
 _OFFSET_MASK = PAGE_SIZE - 1
 
-# A block is a whole number of chunks, and a chunk of OS pages.
-CHUNK = max(1 << 16, mmap.PAGESIZE)
+# A chunk is one OS page.  Without the pagemap, the mapping is compared with
+# zero a stride at a time: a block is a whole number of strides, and a
+# stride of pages.
+CHUNK = mmap.PAGESIZE
 _ZERO_CHUNK = bytes(CHUNK)
-_PAGES_PER_CHUNK = CHUNK // mmap.PAGESIZE
+_STRIDE = max(1 << 16, CHUNK)
+_ZERO_STRIDE = bytes(_STRIDE)
+_ALL_PAGES = b"\1" * (_STRIDE // CHUNK)
+_NO_PAGES = bytes(_STRIDE // CHUNK)
 # Maps the top byte of a pagemap entry to 1 when its bit 63 (present) or 62
 # (swapped) is set.
 _MAPPED = bytes(1 if b & 0xC0 else 0 for b in range(256))
@@ -77,6 +84,15 @@ def _mapped_pages(data: mmap.mmap) -> bytes:
     if len(raw) != size:
         raise OSError("short read of /proc/self/pagemap")
     return raw[7::8].translate(_MAPPED)
+
+
+def _nonzero_strides(data: mmap.mmap) -> bytes:
+    """One byte per OS page of `data`, 1 in each `_STRIDE`-byte stride that
+    holds a nonzero byte: what `_mapped_pages` gives, for where the
+    pagemap cannot be read."""
+    return b"".join(
+        _NO_PAGES if data[start:start + _STRIDE] == _ZERO_STRIDE else _ALL_PAGES
+        for start in range(0, len(data), _STRIDE))
 
 
 class PagedMemory:
@@ -126,8 +142,10 @@ class PagedMemory:
         return self.array[start:start + n]
 
     def read_many(self, addrs) -> bytes:
-        """`bytes(map(self.read, addrs))` for a sequence or set `addrs`, in one
-        pass over the live table and array; raises what `read` raises."""
+        """`bytes(map(self.read, addrs))` for any iterable `addrs`, in one pass
+        over the live table and array; raises what `read` raises."""
+        if iter(addrs) is addrs:  # a one-shot iterator: read it once
+            addrs = list(addrs)
         try:
             array("I", addrs)  # every address a 32-bit int, checked in C
         except (TypeError, OverflowError):
@@ -194,29 +212,29 @@ class PagedMemory:
         return self.next_addr // PAGE_SIZE
 
     def _chunks_to_read(self):
-        """(address, array offset) of each chunk of an allocated block that
-        can hold a nonzero byte, lowest address first: every chunk with a
-        page the kernel has mapped or swapped, or every chunk when the
-        pagemap cannot be read."""
+        """(address, array offset) of each page of an allocated block that
+        can hold a nonzero byte, lowest address first: every page the
+        kernel has mapped or swapped, or every page of a stride that holds
+        a nonzero byte when the pagemap cannot be read."""
         data = self.array
         try:
             mapped = _mapped_pages(data) if data else b""
         except OSError:
-            mapped = b"\1" * (len(data) // mmap.PAGESIZE)
+            mapped = _nonzero_strides(data)
         for top, base in enumerate(self.table):
             if base == SENTINEL:
                 continue
-            end = (base + PAGE_SIZE) // mmap.PAGESIZE
-            page = mapped.find(1, base // mmap.PAGESIZE, end)
+            end = (base + PAGE_SIZE) // CHUNK
+            page = mapped.find(1, base // CHUNK, end)
             while page >= 0:
-                page -= page % _PAGES_PER_CHUNK
-                start = page * mmap.PAGESIZE
+                start = page * CHUNK
                 yield (top << 24) | (start - base), start
-                page = mapped.find(1, page + _PAGES_PER_CHUNK, end)
+                page = mapped.find(1, page + 1, end)
 
     def nonzero_chunks(self):
-        """(address, bytes) of each `CHUNK`-byte chunk of an allocated block
-        that holds a nonzero byte, lowest address first."""
+        """(address, bytes) of each OS page of an allocated block that holds
+        a nonzero byte, lowest address first; only the pages
+        `_chunks_to_read` names are read."""
         data = self.array
         for addr, start in self._chunks_to_read():
             chunk = data[start:start + CHUNK]
@@ -224,7 +242,7 @@ class PagedMemory:
                 yield addr, chunk
 
     def copy(self) -> "PagedMemory":
-        """An independent memory with equal contents; only the chunks that
+        """An independent memory with equal contents; only the OS pages that
         hold a nonzero byte are written, so no other page of the copy is
         resident."""
         new = object.__new__(PagedMemory)

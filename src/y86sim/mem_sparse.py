@@ -110,8 +110,10 @@ class SparseMemory:
         return bytes(map(get, range(addr, addr + n), repeat(0)))
 
     def read_many(self, addrs) -> bytes:
-        """`bytes(map(self.read, addrs))` for a sequence or set `addrs`, in one
-        pass over the live dict; raises what `read` raises."""
+        """`bytes(map(self.read, addrs))` for any iterable `addrs`, in one pass
+        over the live dict; raises what `read` raises."""
+        if iter(addrs) is addrs:  # a one-shot iterator: read it once
+            addrs = list(addrs)
         try:
             array("I", addrs)  # every address a 32-bit int, checked in C
         except (TypeError, OverflowError):

@@ -74,6 +74,16 @@ def test_read_many_raises_what_read_raises(backend, bad):
     assert outcome(mem.read_many, addrs) \
         == outcome(lambda: bytes(map(mem.read, addrs)))
     assert outcome(mem.read_many, [bad])[0] == outcome(mem.read, bad)[0]
+    assert outcome(mem.read_many, iter(addrs)) == outcome(mem.read_many, addrs)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_read_many_reads_every_address_of_a_one_shot_iterator(backend):
+    mem = filled(backend, [(5, 9), (6, 4), ((1 << 24) | 3, 7)])
+    addrs = [5, 6, 0, (1 << 24) | 3]
+    for once in (iter(addrs), (a for a in addrs), map(int, addrs)):
+        assert mem.read_many(once) == bytes([9, 4, 0, 7])
+    assert mem.read_many(iter([])) == b""
 
 
 def test_a_non_int_address_is_named_in_the_range_error():
@@ -252,20 +262,17 @@ def test_mismatch_names_the_first_difference_of_a_per_address_walk(
         assert mismatch(c, a, [addr]) == walk_mismatch(c, a, [addr])
 
 
+def test_mismatch_reads_every_address_of_a_one_shot_iterator():
+    c = Machine(PagedMemory().write(9, 1))
+    a = Machine(SparseMemory())
+    expected = "memory at 0x9 is 0x01 concrete vs 0x00 abstract"
+    assert mismatch(c, a, iter([9])) == expected
+    assert mismatch(c, a, (addr for addr in (3, 9))) == expected
+    assert mismatch(c, a, iter([3, 4])) is None
+
+
 # ---------------------------------------------------------------------------
 # the addresses lockstep compares
-
-def test_a_wide_draw_holds_the_narrow_draws_lowest_first():
-    # A wide `getrandbits` is as many 32-bit draws, lowest word first, and
-    # leaves the generator as they do.
-    for k in (1, 2, 3, 32):
-        for seed in (0, 1, 1009):
-            wide, narrow = random.Random(seed), random.Random(seed)
-            x = wide.getrandbits(32 * k)
-            words = [narrow.getrandbits(32) for _ in range(k)]
-            assert x == sum(w << (32 * i) for i, w in enumerate(words))
-            assert wide.getstate() == narrow.getstate()
-
 
 WALK = """\
 main:
@@ -348,6 +355,37 @@ def test_lockstep_probe_addresses_are_pinned(monkeypatch, popcount_assembled,
             == sum(len(addrs) for addrs, _ in calls)
         runs.append(calls)
     assert runs[0] == runs[1]
+
+
+def test_lockstep_reads_memory_only_on_steps_that_store(monkeypatch,
+                                                       popcount_assembled):
+    # Each backend's `read_many` is called once in a step that stored, and
+    # not at all in one that stored nothing.
+    reads = {PagedMemory: 0, SparseMemory: 0}
+    for backend in reads:
+        def counted(mem, addrs, backend=backend, read_many=backend.read_many):
+            reads[backend] += 1
+            return read_many(mem, addrs)
+        monkeypatch.setattr(backend, "read_many", counted)
+    per_step = []
+
+    def recording(c, a, addrs=()):
+        before = dict(reads)
+        difference = mismatch(c, a, addrs)
+        per_step.append((len(addrs), *(reads[b] - before[b] for b in reads)))
+        return difference
+
+    monkeypatch.setattr(machine, "mismatch", recording)
+    image, symbols = popcount_assembled
+    concrete, abstract = (Machine(mem(), eip=symbols["call-popcount"],
+                                  esp=8192, image=image)
+                          for mem in (PagedMemory, SparseMemory))
+    report = run_in_lockstep(concrete, abstract, 10_000)
+    *per_step, final = per_step
+    # Only the first step, the `call`, stores: its return address.
+    assert len(per_step) == report.steps > 100
+    assert per_step == [(4, 1, 1)] + [(0, 0, 0)] * (report.steps - 1)
+    assert final == (len(abstract.mem) + len(_FIXED_PROBES), 1, 1)
 
 
 def test_lockstep_draws_no_probe_while_no_block_is_allocated(monkeypatch):

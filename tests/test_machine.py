@@ -844,6 +844,31 @@ def test_lockstep_mismatch_names_register():
     assert "at step 1: %edx is 0x7 concrete vs 0x0 abstract" in str(info.value)
 
 
+class AddDrifter(Machine):
+    """Adds 1 to %ecx after each `addl` it runs, a step that stores
+    nothing."""
+
+    def step(self):
+        instr = super().step()
+        if instr is not None and instr.kind is Kind.ALU:
+            self.regs[ECX] += 1
+        return instr
+
+
+@pytest.mark.parametrize("trace", [None, lambda line: None],
+                         ids=["untraced", "traced"])
+def test_lockstep_names_a_register_changed_on_a_step_that_stores_nothing(
+        trace):
+    image, _ = asm.assemble(asm.parse(STORE_LOOP))
+    concrete = Machine(PagedMemory(), esp=8192, image=image)
+    abstract = AddDrifter(SparseMemory(), esp=8192, image=image)
+    with pytest.raises(CorrespondenceFailure) as info:
+        run_in_lockstep(concrete, abstract, 100, trace=trace)
+    # Step 3 is the first `addl`.
+    assert "at step 3: %ecx is 0x0 concrete vs 0x1 abstract" \
+        in str(info.value)
+
+
 @pytest.mark.parametrize("attr, value, report", [
     ("eip", 4, ("eip", "0x4", "0x0")),
     ("zf", 1, ("flags", "100", "000")),

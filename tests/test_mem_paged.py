@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from y86sim.errors import AddressOutOfRange, AllocationFailure, ValueOutOfRange
+from y86sim.isa import Status
+from y86sim.machine import Machine, run_in_lockstep
 from y86sim.mem_paged import (
     CHUNK,
     MEM_SIZE,
@@ -19,6 +21,7 @@ from y86sim.mem_paged import (
     SENTINEL,
     TABLE_SIZE,
     PagedMemory,
+    _STRIDE,
 )
 from y86sim.mem_sparse import SparseMemory
 
@@ -379,10 +382,11 @@ def test_nonzero_chunks_count_equals_a_full_scan(ops, pagemap):
 
 
 def test_without_the_pagemap_every_chunk_is_read(monkeypatch):
+    # Every page of each stride that holds a nonzero byte: here one stride.
     mem = PagedMemory()
     mem.write(block_addr(3, 5), 1)
     monkeypatch.setattr(os, "pread", refuse_pagemap)
-    assert len(list(mem._chunks_to_read())) == PAGE_SIZE // CHUNK
+    assert len(list(mem._chunks_to_read())) == _STRIDE // CHUNK
     assert list(mem.nonzero_chunks()) == full_scan(mem)
 
 
@@ -427,8 +431,35 @@ linux_pagemap = pytest.mark.skipif(
 def test_the_pagemap_path_reads_one_chunk_of_a_fresh_block():
     mem = PagedMemory()
     mem.write(block_addr(7, 0x123456), 0x42)
-    assert list(mem._chunks_to_read()) == [(block_addr(7, 0x120000), 0x120000)]
+    page = 0x123456 - 0x123456 % CHUNK  # 0x123000 with 4 KB pages
+    assert list(mem._chunks_to_read()) == [(block_addr(7, page), page)]
     assert list(mem.nonzero_chunks()) == full_scan(mem)
+
+
+@linux_pagemap
+def test_a_popcount_lockstep_sweep_reads_only_its_code_and_stack_pages(
+        monkeypatch, popcount_assembled):
+    image, symbols = popcount_assembled
+    concrete, abstract = (Machine(mem(), eip=symbols["call-popcount"],
+                                  esp=symbols["stack"], image=image)
+                          for mem in (PagedMemory, SparseMemory))
+    concrete.regs[2] = abstract.regs[2] = 0x9E3779B9
+    swept = []
+    chunks_to_read = PagedMemory._chunks_to_read
+
+    def recorded(mem):
+        swept.append(list(chunks_to_read(mem)))
+        return iter(swept[-1])
+
+    monkeypatch.setattr(PagedMemory, "_chunks_to_read", recorded)
+    run_in_lockstep(concrete, abstract, 300)
+    assert concrete.status is Status.HLT
+    # The code lies in the first page; the call's return address is the
+    # stack's one word.  (The correspondence's fixed probes, read after the
+    # sweep, may map more pages, each of them zero.)
+    assert max(addr for addr, _ in image) < CHUNK
+    pages = sorted({0, (symbols["stack"] - 4) // CHUNK * CHUNK})
+    assert swept[0] == [(p, p) for p in pages]
 
 
 def one_byte_per_block():
