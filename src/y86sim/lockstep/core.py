@@ -251,7 +251,9 @@ class CaseSource:
     rng, abstract)`.  `draw` rebuilds the pair on the first draw, every
     `RESET_EVERY` draws and after `mark_failure`, then evolves it zero to
     two times; an `_evolve` that raises ends the half-updated pair, which
-    is rebuilt.  `advance` takes a passing updater's new abstract value.
+    is rebuilt.  `_fresh` finds `_pair` set only when it retires a pair on
+    schedule; `check_obligations` records a CorrespondenceFailure it raises
+    as that case's.  `advance` takes a passing updater's new abstract value.
     `snapshot` returning independent copies enables counterexample
     shrinking; returning None disables it.
     """
@@ -271,6 +273,7 @@ class CaseSource:
             for _ in range(rng.randrange(3)):
                 abstract = self._evolve(concrete, abstract, rng)
         except Exception:  # the export's own cases record the raise
+            self._pair = None  # not retired: `_fresh` checks nothing
             self._pair = self._fresh()
             concrete, abstract = self._pair
         self._pair[1] = abstract
@@ -462,7 +465,12 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
         for case in range(n_cases):
             case_seed = _case_seed(seed, export.name, case)
             rng = random.Random(case_seed)
-            concrete, abstract, args = source.draw(export.name, rng)
+            try:
+                concrete, abstract, args = source.draw(export.name, rng)
+            except CorrespondenceFailure as exc:  # from a retired pair
+                corr_out.failures.append(FailureRecord(
+                    corr_out.name, case, case_seed, "()", str(exc)))
+                continue
             if not export.guard(abstract, *args):
                 raise ValueError(
                     f"case source produced guard-violating args {args!r} "

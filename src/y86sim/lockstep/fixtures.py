@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..errors import InjectedFault
+from ..errors import CorrespondenceFailure, InjectedFault
 from ..isa import (
     MASK32, MNEMONICS, OPERANDS, Flags, Instruction, Register, Status, encode,
     is_word,
@@ -478,9 +478,11 @@ class Y86Cases(CaseSource):
     regardless of export correctness.  Generated addresses and register
     values stay within a couple of 16MB blocks so executed instruction
     soup cannot allocate pages all over the 4GB space; a page-count valve
-    rebuilds the pool if arithmetic drift escapes the domain anyway, and
-    periodic resets bound the touched-set size (the recognizer is a
-    genuine O(n) scan).
+    rebuilds the pool if arithmetic drift escapes the domain anyway.  A
+    drawn pair and the logic side's copies share a fresh write set, so a
+    case compares its own stores.  `_fresh` checks a pair it retires on
+    schedule whole, and raises "pool history: ..." at a store no write set
+    saw; so the periodic resets bound the history one check covers.
     """
 
     BLOCKS = (0, 1)
@@ -498,9 +500,18 @@ class Y86Cases(CaseSource):
         if (self._pair is not None
                 and self._pair[0].mem.pages_allocated() > self.PAGE_VALVE):
             self._pair = None
-        return super().draw(export_name, rng)
+        concrete, abstract, args = super().draw(export_name, rng)
+        concrete._step_writes = abstract._step_writes = set()
+        return concrete, abstract, args
 
     def _fresh(self):
+        retired, self._pair = self._pair, None
+        if retired is not None:
+            concrete, abstract = retired
+            concrete._step_writes = abstract._step_writes = None
+            difference = correspondence(concrete, abstract)
+            if difference is not None:
+                raise CorrespondenceFailure(f"pool history: {difference}")
         return [Machine(PagedMemory()), Machine(SparseMemory())]
 
     def _evolve(self, concrete, abstract, rng):

@@ -30,13 +30,13 @@ write into a cached span drops the cache, so self-modifying code
 re-decodes, and a reload that keeps the cache first checks those bytes
 against the new memory.
 
-`correspondence` states once, through `mismatch`, how a paged machine
-corresponds to a sparse one: `y86_spec()` registers it as `corr`, and
-`run_in_lockstep` ends with it.  `mismatch` is the one memory comparison
-of both, and of every lockstep step: it reads its addresses in bulk, one
-`read_many` per backend, and names a difference only when the two byte
-strings differ.  Given no address, as after a step that stored nothing, it
-reads no memory.
+`correspondence` states once how a paged machine corresponds to a sparse
+one, exactly or over a shared write set: `y86_spec()` registers it as
+`corr`, and `run_in_lockstep` ends with it.  `mismatch` is the one memory
+comparison of both, and of every lockstep step: it reads its addresses in
+bulk, one `read_many` per backend, and names a difference only when the
+two byte strings differ.  Given no address, as after a step that stored
+nothing, it reads no memory.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .isa import (
     format_instruction,
     is_word,
 )
-from .mem_paged import CHUNK, PAGE_SIZE, PagedMemory
+from .mem_paged import CHUNK, PagedMemory
 from .mem_sparse import SparseMemory
 
 __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
@@ -273,7 +273,8 @@ class Machine:
     # -- lifecycle -----------------------------------------------------------
 
     def copy(self) -> "Machine":
-        """Independent machine with equal state; a sparse memory is shared."""
+        """Independent machine with equal state; a sparse memory and a write
+        set are shared."""
         new = object.__new__(Machine)
         new.regs = list(self.regs)
         new.eip = self.eip
@@ -284,7 +285,7 @@ class Machine:
         new.icache_clears = self.icache_clears
         new._icache = dict(self._icache)
         new._icache_bytes = dict(self._icache_bytes)
-        new._step_writes = None
+        new._step_writes = self._step_writes
         return new
 
     def reload(self, mem, *, eip=0, esp=None, keep_icache=False) -> None:
@@ -326,11 +327,6 @@ class Machine:
 
 # Eips of the most recent steps quoted in a divergence report.
 _RECENT_STEPS = 8
-# Addresses the correspondence compares besides those the sparse side holds.
-_FIXED_PROBES = (
-    0, 1, 0x50, 0x56, 0xFF, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1,
-    8188, 8189, 8190, 8191, 8192, 0x7FFFFFFF, 0xFFFFFFFF,
-)
 
 
 @dataclass(frozen=True)
@@ -374,35 +370,33 @@ def mismatch(concrete: Machine, abstract: Machine, addrs=()):
 
 def correspondence(concrete, abstract):
     """None when a paged machine corresponds to a sparse one, else the first
-    difference: the paged memory is `wellformed()`, and `mismatch` finds
-    none at the addresses the sparse memory holds or in `_FIXED_PROBES`.
-    The sparse side's recognizer is not part of it."""
+    difference.  The paged memory must be `wellformed()`.  Machines that
+    share a write set corresponded before the stores it records, so only
+    the state and those addresses are compared.  Otherwise the state and
+    every sparse entry are, and the paged memory must hold as many nonzero
+    bytes over its `nonzero_chunks`, else its lowest page that differs is
+    compared: so the memories are equal as functions.  The recognizer is
+    not part of it: a sparse entry that holds 0 is no difference."""
     if not (isinstance(concrete, Machine)
             and isinstance(concrete.mem, PagedMemory)
             and isinstance(abstract, Machine)
             and isinstance(abstract.mem, SparseMemory)):
         return "the pair is not a paged machine and a sparse one"
-    if not concrete.mem.wellformed():
-        return "the paged memory is not wellformed()"
-    return mismatch(concrete, abstract,
-                    [*abstract.mem.touched(), *_FIXED_PROBES])
-
-
-def _stray_byte(concrete, abstract):
-    """None when the paged memory holds as many nonzero bytes as the sparse
-    one has entries, counted over the OS pages `nonzero_chunks` yields, so
-    only pages the kernel mapped are read.  Else the first difference
-    `mismatch` finds in the lowest nonzero page of the paged memory that
-    differs, or None when none does: then a sparse entry differs, and
-    `correspondence` names it."""
     mem = concrete.mem
-    if (sum(CHUNK - chunk.count(0) for _, chunk in mem.nonzero_chunks())
+    if not mem.wellformed():
+        return "the paged memory is not wellformed()"
+    written = concrete._step_writes
+    if written is not None and written is abstract._step_writes:
+        return mismatch(concrete, abstract, written)
+    difference = mismatch(concrete, abstract, [*abstract.mem.touched()])
+    if difference is not None or (
+            sum(CHUNK - chunk.count(0) for _, chunk in mem.nonzero_chunks())
             == len(abstract.mem)):
-        return None
+        return difference
     for addr, chunk in mem.nonzero_chunks():
         if chunk != abstract.mem.read_span(addr, CHUNK):
             return mismatch(concrete, abstract, range(addr, addr + CHUNK))
-    return None
+    return None  # a sparse entry holds 0, which only the recognizer rejects
 
 
 def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:
@@ -419,14 +413,13 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     `concrete` must use a paged backend and `abstract` a sparse one.
     After every step the machines must agree on regs, eip, flags and
     status, and on each address that either of them wrote during that
-    step; a step that stored nothing reads no memory.  The final sweep,
-    `_stray_byte` and then `correspondence`, holds only when the memories
-    are equal as functions: every sparse entry is a nonzero paged byte, and
-    there are as many of each, counted over the OS pages the kernel mapped.
-    Raises CorrespondenceFailure on the first divergence, naming the step,
-    the first difference and the last few eips.  `seed` draws nothing.
-    `addresses_checked` counts the addresses `mismatch` compared: each
-    step's write set, then the final sweep's.
+    step; a step that stored nothing reads no memory.  The final sweep is
+    one `correspondence` call with no write set open, so it holds only when
+    the memories are equal as functions.  Raises CorrespondenceFailure on
+    the first divergence, naming the step, the first difference and the
+    last few eips.  `seed` draws nothing.  `addresses_checked` counts the
+    addresses `mismatch` compared: each step's write set, then the sparse
+    memory's entries.
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
@@ -456,10 +449,9 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    difference = (_stray_byte(concrete, abstract)
-                  or correspondence(concrete, abstract))
+    difference = correspondence(concrete, abstract)
     if difference is not None:
         raise _divergence(f"in the final sweep after step {steps}", difference,
                           recent)
-    checked += len(abstract.mem) + len(_FIXED_PROBES)
+    checked += len(abstract.mem)
     return LockstepReport(steps=steps, addresses_checked=checked)

@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from y86sim import asm
+from y86sim.mem_paged import PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
 
@@ -30,6 +31,14 @@ def popcount_assembled():
 @pytest.fixture(scope="session")
 def stress_assembled():
     return asm.assemble(asm.parse(program_text("stress.ys")))
+
+
+class StrayPaged(PagedMemory):
+    """Stores each byte also at its address XOR 0x800000."""
+
+    def write(self, addr, value):
+        super().write(addr ^ 0x800000, value)
+        return super().write(addr, value)
 
 
 class CountingDict(dict):

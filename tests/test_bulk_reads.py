@@ -13,7 +13,6 @@ from y86sim import asm, machine
 from y86sim.errors import AddressOutOfRange, ValueOutOfRange
 from y86sim.isa import MASK32, Kind
 from y86sim.machine import (
-    _FIXED_PROBES,
     ESP,
     Machine,
     mismatch,
@@ -27,7 +26,10 @@ BACKENDS = (PagedMemory, SparseMemory)
 
 in_blocks = st.builds(lambda block, offset: (block << 24) | offset,
                       st.sampled_from(BLOCKS), st.integers(0, PAGE_SIZE - 1))
-any_addr = st.one_of(in_blocks, st.sampled_from(_FIXED_PROBES),
+# The first and last addresses of blocks, and of the address space.
+EDGES = (0, 1, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, 0x7FFFFFFF,
+         MEM_SIZE - 1)
+any_addr = st.one_of(in_blocks, st.sampled_from(EDGES),
                      st.integers(0, MEM_SIZE - 1))
 writes = st.lists(st.tuples(in_blocks, st.integers(0, 255)), max_size=12)
 
@@ -60,7 +62,7 @@ def test_array_of_unsigned_ints_is_the_32_bit_range_check():
 @given(ops=writes, addrs=st.lists(any_addr, max_size=40))
 def test_read_many_equals_per_address_reads(backend, ops, addrs):
     mem = filled(backend, ops)
-    addrs = [*addrs, *(a for a, _ in ops), *_FIXED_PROBES, 0, MEM_SIZE - 1]
+    addrs = [*addrs, *(a for a, _ in ops), *EDGES]
     assert mem.read_many(addrs) == bytes(map(mem.read, addrs))
     assert mem.read_many([]) == b""
 
@@ -328,14 +330,14 @@ def recorded_lockstep(monkeypatch, concrete, abstract, seed):
 def test_lockstep_probe_addresses_are_pinned(monkeypatch, popcount_assembled,
                                              case):
     # Each step compares the addresses that step wrote; the final sweep
-    # compares the sparse entries and the fixed probes.  No address is
-    # drawn, so every seed compares the same ones.
+    # compares the sparse entries.  No address is drawn, so every seed
+    # compares the same ones.
     if case == "popcount":  # one block, as perfbench's popcount leg runs
         image, symbols = popcount_assembled
-        entry, steps, checked = symbols["call-popcount"], 186, 42
+        entry, steps, checked = symbols["call-popcount"], 186, 27
     else:  # four blocks, three of them allocated during the run
         image, symbols = asm.assemble(asm.parse(WALK))
-        entry, steps, checked = symbols["main"], 47, 157
+        entry, steps, checked = symbols["main"], 47, 142
     runs = []
     for seed in (3, 5):
         machines = [Machine(mem(), eip=entry, esp=8192, image=image)
@@ -350,7 +352,7 @@ def test_lockstep_probe_addresses_are_pinned(monkeypatch, popcount_assembled,
         for addrs, _ in per_step:
             assert sorted(addrs) == sorted(words_written(oracle))
         assert len(final[1]) == (1 if case == "popcount" else 4)
-        assert final[0] == [*abstract.mem.touched(), *_FIXED_PROBES]
+        assert final[0] == list(abstract.mem.touched())
         assert report.addresses_checked == checked \
             == sum(len(addrs) for addrs, _ in calls)
         runs.append(calls)
@@ -385,7 +387,7 @@ def test_lockstep_reads_memory_only_on_steps_that_store(monkeypatch,
     # Only the first step, the `call`, stores: its return address.
     assert len(per_step) == report.steps > 100
     assert per_step == [(4, 1, 1)] + [(0, 0, 0)] * (report.steps - 1)
-    assert final == (len(abstract.mem) + len(_FIXED_PROBES), 1, 1)
+    assert final == (len(abstract.mem), 1, 1)
 
 
 def test_lockstep_draws_no_probe_while_no_block_is_allocated(monkeypatch):
@@ -393,4 +395,4 @@ def test_lockstep_draws_no_probe_while_no_block_is_allocated(monkeypatch):
     report, calls = recorded_lockstep(
         monkeypatch, Machine(PagedMemory()), Machine(SparseMemory()), 0)
     assert report.steps == 1 and calls[0] == ([], [])
-    assert report.addresses_checked == len(_FIXED_PROBES)
+    assert report.addresses_checked == 0

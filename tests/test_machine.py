@@ -25,6 +25,8 @@ from y86sim.machine import ESP, Machine, mismatch, run_in_lockstep
 from y86sim.mem_paged import PAGE_SIZE, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
+from conftest import StrayPaged
+
 EAX, ECX, EDX, EBX = 0, 1, 2, 3
 
 
@@ -801,14 +803,6 @@ def test_lockstep_reports_a_stray_byte_on_every_run(monkeypatch, pagemap,
             run_in_lockstep(concrete, abstract, 100, seed=seed, trace=plant)
         assert (f"in the final sweep after step 4: memory at {stray:#x} is "
                 f"0xee concrete vs 0x00 abstract") in str(info.value)
-
-
-class StrayPaged(PagedMemory):
-    """Stores each byte also at its address XOR 0x800000."""
-
-    def write(self, addr, value):
-        super().write(addr ^ 0x800000, value)
-        return super().write(addr, value)
 
 
 def test_lockstep_reports_the_stray_write_mutant_on_every_run(monkeypatch):

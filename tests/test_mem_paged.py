@@ -455,11 +455,29 @@ def test_a_popcount_lockstep_sweep_reads_only_its_code_and_stack_pages(
     run_in_lockstep(concrete, abstract, 300)
     assert concrete.status is Status.HLT
     # The code lies in the first page; the call's return address is the
-    # stack's one word.  (The correspondence's fixed probes, read after the
-    # sweep, may map more pages, each of them zero.)
+    # stack's one word.  The sweep reads no other page, so it maps none.
     assert max(addr for addr, _ in image) < CHUNK
     pages = sorted({0, (symbols["stack"] - 4) // CHUNK * CHUNK})
     assert swept[0] == [(p, p) for p in pages]
+
+
+@linux_pagemap
+def test_a_reused_paged_base_still_maps_only_its_code_and_stack_pages(
+        popcount_assembled):
+    # Two lockstep runs on one paged memory: neither final sweep maps a
+    # page, so the second reads the same two pages as the first.
+    image, symbols = popcount_assembled
+    entry, stack = symbols["call-popcount"], symbols["stack"]
+    concrete, abstract = (Machine(mem(), eip=entry, esp=stack, image=image)
+                          for mem in (PagedMemory, SparseMemory))
+    for _ in range(2):
+        concrete.regs[2] = abstract.regs[2] = 0x9E3779B9
+        run_in_lockstep(concrete, abstract, 300)
+        assert concrete.status is Status.HLT
+        concrete.reload(concrete.mem, eip=entry, esp=stack)
+        abstract.reload(abstract.mem, eip=entry, esp=stack)
+    pages = sorted({0, (stack - 4) // CHUNK * CHUNK})
+    assert list(concrete.mem._chunks_to_read()) == [(p, p) for p in pages]
 
 
 def one_byte_per_block():
