@@ -145,6 +145,10 @@ class DualState:
 
         Without `audit` the answer is O(1) and trusts the state: in check
         mode every abstract value it has held already passed the recognizer.
+        With `audit` it costs one recognizer call.  For y86 that is O(1)
+        when the machine's memory history began in `SparseMemory(...)`,
+        canonical by construction, and one read of the whole map when it
+        was adopted unchecked by `SparseMemory._from_raw`.
         """
         if self.poisoned:
             return False
@@ -253,9 +257,10 @@ class CaseSource:
     two times; an `_evolve` that raises ends the half-updated pair, which
     is rebuilt.  `_fresh` finds `_pair` set only when it retires a pair on
     schedule; `check_obligations` records a CorrespondenceFailure it raises
-    as that case's.  `advance` takes a passing updater's new abstract value.
-    `snapshot` returning independent copies enables counterexample
-    shrinking; returning None disables it.
+    as that case's.  `_drawn` counts the draws begun, a raising one too, so
+    `_drawn - 1` numbers the current draw from 0.  `advance` takes a
+    passing updater's new abstract value.  `snapshot` returning independent
+    copies enables counterexample shrinking; returning None disables it.
     """
 
     RESET_EVERY: int
@@ -265,9 +270,10 @@ class CaseSource:
         self._drawn = 0
 
     def draw(self, export_name: str, rng: random.Random):
-        if self._pair is None or self._drawn % self.RESET_EVERY == 0:
+        drawn = self._drawn
+        self._drawn = drawn + 1
+        if self._pair is None or drawn % self.RESET_EVERY == 0:
             self._pair = self._fresh()
-        self._drawn += 1
         concrete, abstract = self._pair
         try:
             for _ in range(rng.randrange(3)):

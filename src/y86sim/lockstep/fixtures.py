@@ -353,9 +353,9 @@ def _y86_recognizer(a) -> bool:
         and isinstance(a.mem, SparseMemory)
         and a.mem.wellformed()
         and len(a.regs) == 8
-        and all(is_word(v) for v in a.regs)
+        and all(map(is_word, a.regs))
         and is_word(a.eip)
-        and all(f in (0, 1) for f in (a.zf, a.sf, a.of))
+        and a.zf in (0, 1) and a.sf in (0, 1) and a.of in (0, 1)
         and isinstance(a.status, Status)
     )
 
@@ -482,12 +482,14 @@ class Y86Cases(CaseSource):
     drawn pair and the logic side's copies share a fresh write set, so a
     case compares its own stores.  `_fresh` checks a pair it retires on
     schedule whole, and raises "pool history: ..." at a store no write set
-    saw; so the periodic resets bound the history one check covers.
+    saw, naming the draws that built and retired the pair; so the periodic
+    resets bound the history one check covers.
     """
 
     BLOCKS = (0, 1)
     PAGE_VALVE = 6
     RESET_EVERY = 250
+    _built = None  # the number of the draw that built the pool pair
 
     def _addr(self, rng) -> int:
         return (rng.choice(self.BLOCKS) << 24) | rng.getrandbits(24)
@@ -506,12 +508,16 @@ class Y86Cases(CaseSource):
 
     def _fresh(self):
         retired, self._pair = self._pair, None
+        drawn = self._drawn - 1  # this draw's number
         if retired is not None:
             concrete, abstract = retired
             concrete._step_writes = abstract._step_writes = None
             difference = correspondence(concrete, abstract)
             if difference is not None:
-                raise CorrespondenceFailure(f"pool history: {difference}")
+                raise CorrespondenceFailure(
+                    f"pool history: {difference}; pair built at draw "
+                    f"{self._built}, retired at draw {drawn}")
+        self._built = drawn
         return [Machine(PagedMemory()), Machine(SparseMemory())]
 
     def _evolve(self, concrete, abstract, rng):

@@ -192,16 +192,17 @@ class PagedMemory:
         return self
 
     def wellformed(self) -> bool:
-        """The memory invariant as one equation: the cursor is the array's
-        length and one page per allocated table entry, and the set of
-        allocated entries is the set of page offsets below the cursor, so no
-        two entries share a base.  Each side is a C-level pass over the
-        table."""
-        table = self.table
-        return (self.next_addr == len(self.array)
+        """The memory invariant: the cursor is the array's length and one
+        page per allocated table entry, and every page offset below the
+        cursor is in the table.  There are as many offsets as allocated
+        entries, so the allocated entries are exactly those offsets and no
+        two share a base.  Both tests run in C: one count of the table, and
+        one containment scan of it per offset."""
+        table, cursor = self.table, self.next_addr
+        return (cursor == len(self.array)
                 == PAGE_SIZE * (len(table) - table.count(SENTINEL))
-                and set(table) - {SENTINEL}
-                == set(range(0, self.next_addr, PAGE_SIZE)))
+                and all(map(table.__contains__,
+                            range(0, cursor, PAGE_SIZE))))
 
     def blocks(self) -> list[int]:
         """The first address of each allocated block, lowest first."""

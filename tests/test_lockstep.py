@@ -35,7 +35,7 @@ from y86sim.lockstep import (
 from y86sim.lockstep.fixtures import SLOT_COUNT
 from y86sim.machine import Machine, correspondence
 from y86sim.mem_paged import PagedMemory
-from y86sim.mem_sparse import SparseMemory
+from y86sim.mem_sparse import SparseMemory, _canonical
 
 from conftest import StrayPaged
 
@@ -396,6 +396,31 @@ def test_y86_recognizer_scan_costs_later_stores_nothing(counted_sparse):
     assert a.read_byte(0) == 1 and a.read_byte(199) == 2 and len(a.mem) == 3200
 
 
+def test_y86_recognizer_reads_no_entry_of_a_history_sparsememory_began(
+        monkeypatch):
+    scans = []
+
+    def counted(data):
+        scans.append(len(data))
+        return _canonical(data)
+
+    monkeypatch.setattr("y86sim.mem_sparse._canonical", counted)
+    spec = y86_spec()
+    entries = {0x100 + i: 7 for i in range(3000)}
+    trusted = Machine(SparseMemory(entries))
+    first = trusted.mem
+    trusted.write_byte(0x100, 0)
+    assert spec.recognizer_logic(trusted) and spec.recognizer_logic(
+        Machine(first))
+    assert scans == []
+    raw = Machine(SparseMemory._from_raw(entries))
+    assert spec.recognizer_logic(raw) and scans == [3000]
+    raw.write_byte(0x100, 0)   # a raw history stays scanned after a write
+    assert spec.recognizer_logic(raw) and scans == [3000, 2999]
+    entries[0x101] = 0
+    assert not spec.recognizer_logic(raw) and scans == [3000, 2999, 2999]
+
+
 def test_y86_pool_pairs_correspond_and_are_recognized():
     spec = y86_spec()
     source = Y86Cases()
@@ -487,6 +512,28 @@ def test_y86_suite_finds_the_stray_write_mutant_in_the_pool_history(
                and f.message.startswith("pool history: memory at ")]
     assert history, report.to_text()
     assert all(f.args == "()" for f in history)
+
+
+def test_a_pool_history_failure_names_the_draws_of_its_pair(monkeypatch):
+    # Draws run export by export, 300 each.  A failing retirement at draw
+    # 250 drops the pair, so the next draw builds one, and so on.
+    monkeypatch.setattr("y86sim.lockstep.fixtures.PagedMemory", StrayPaged)
+    spec = y86_spec()
+    names = [e.name for e in spec.exports]
+    report = check_obligations(spec, Y86Cases(), 300, seed=1)
+    draws = []
+    for o in report.outcomes:
+        for f in o.failures:
+            match = re.fullmatch(r"pool history: memory at 0x[0-9a-f]+ is .*; "
+                                 r"pair built at draw (\d+), retired at "
+                                 r"draw (\d+)", f.message)
+            assert match, f.message
+            built, retired = int(match[1]), int(match[2])
+            export = o.name.removesuffix("{CORRESPONDENCE}")
+            assert retired == 300 * names.index(export) + f.case
+            draws.append((built, retired))
+    assert draws == [(0, 250)] + [(k + 1, k + 250)
+                                  for k in range(250, 2250, 250)]
 
 
 def test_y86_suite_names_the_store_a_logic_side_adds():

@@ -126,6 +126,55 @@ def test_wellformed_rejects_backing_past_the_cursor():
     assert not mem.wellformed()
 
 
+def set_equation(mem):
+    """The invariant as `wellformed()` once computed it: the allocated
+    entries, as a set, are the page offsets below the cursor."""
+    table = mem.table
+    return (mem.next_addr == len(mem.array)
+            == PAGE_SIZE * (len(table) - table.count(SENTINEL))
+            and set(table) - {SENTINEL}
+            == set(range(0, mem.next_addr, PAGE_SIZE)))
+
+
+# What an edit may put in a table entry: the sentinel and True, which equals
+# it; bases, some at or past any cursor drawn below, so duplicates too; and
+# floats equal to a base.
+table_entries = st.sampled_from(
+    [SENTINEL, True, 0.0, float(PAGE_SIZE)]
+    + [k * PAGE_SIZE for k in range(6)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tops=st.lists(st.integers(0, 7), unique=True, max_size=4),
+       edits=st.lists(st.tuples(st.integers(0, 7), table_entries),
+                      max_size=3),
+       cursor_shift=st.sampled_from([0, 0, -1, 1]),
+       length_shift=st.sampled_from([0, 0, -1, 1]))
+def test_paged_wellformed_equals_the_set_equation(tops, edits, cursor_shift,
+                                                  length_shift):
+    # A wellformed table over blocks 0..7, then edits: an entry freed or
+    # allocated puts the sentinel count off by one, and a shift makes the
+    # cursor disagree with the length of the array.
+    mem = PagedMemory()
+    for base, top in enumerate(tops):
+        mem.table[top] = base * PAGE_SIZE
+    for top, entry in edits:
+        mem.table[top] = entry
+    mem.next_addr = max(0, len(tops) + cursor_shift) * PAGE_SIZE
+    # wellformed() reads only the array's length.
+    mem.array = range(max(0, len(tops) + length_shift) * PAGE_SIZE)
+    assert mem.wellformed() == set_equation(mem)
+
+
+def test_paged_wellformed_reads_true_as_the_sentinel_and_0_0_as_base_0():
+    mem = PagedMemory()
+    mem.table[3], mem.table[9] = 0.0, True
+    mem.next_addr, mem.array = PAGE_SIZE, range(PAGE_SIZE)
+    assert mem.wellformed() and set_equation(mem)
+    mem.table[9] = 0
+    assert not mem.wellformed() and not set_equation(mem)
+
+
 def test_blocks_lists_allocated_blocks_lowest_first():
     mem = PagedMemory()
     assert mem.blocks() == []

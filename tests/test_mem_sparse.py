@@ -4,11 +4,11 @@ persistence of versions that share one history."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from y86sim.errors import AddressOutOfRange, ValueOutOfRange
-from y86sim.mem_sparse import MEM_SIZE, SparseMemory
+from y86sim.mem_sparse import MEM_SIZE, SparseMemory, _canonical
 
 addrs = st.integers(0, MEM_SIZE - 1)
 bytes_ = st.integers(0, 255)
@@ -123,13 +123,34 @@ def test_write_commutes_at_distinct_keys(i, j, v, w):
     assert mem.write(i, v).write(j, w) == mem.write(j, w).write(i, v)
 
 
-@given(st.lists(st.tuples(addrs, bytes_), max_size=40))
-def test_memp_preserved_by_write(ops):
-    mem = SparseMemory()
-    assert mem.wellformed()
-    for addr, value in ops:
-        mem = mem.write(addr, value)
-        assert mem.wellformed()
+# Three addresses drawn half the time and zero drawn half the time, so that
+# writes often rewrite and unbind a bound address.
+hot_addrs = st.one_of(st.sampled_from([0, 0x1000, MEM_SIZE - 1]), addrs)
+hot_bytes = st.one_of(st.just(0), bytes_)
+history_ops = st.lists(st.tuples(
+    st.sampled_from(["write", "read"]), st.integers(0, 40), hot_addrs,
+    hot_bytes), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(hot_addrs, bytes_, max_size=6), history_ops)
+def test_memp_preserved_by_write(entries, ops):
+    # A history that `SparseMemory(...)` began is canonical by construction,
+    # so `wellformed()` answers it without reading the map; here the scan
+    # reads the live dict at every version.  Operation k uses version k
+    # mod the number of versions, so reads and writes on old versions
+    # reroot the history.
+    versions = [SparseMemory(entries)]
+    for op, k, addr, value in ops:
+        mem = versions[k % len(versions)]
+        if op == "write":
+            mem = mem.write(addr, value)
+            versions.append(mem)
+        else:
+            mem.read(addr)
+        assert _canonical(mem._reroot())
+    for mem in versions:
+        assert _canonical(mem._reroot()) and mem.wellformed()
 
 
 def test_against_plain_dict_oracle():
