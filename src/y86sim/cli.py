@@ -26,7 +26,7 @@ from .errors import (
     PoisonedState,
     Y86Error,
 )
-from .isa import MASK32, REGISTER_NAMES, Status, format_instruction
+from .isa import REGISTER_NAMES, Status, format_instruction, is_nat, is_word
 from .lockstep import (
     DemoCases,
     DualState,
@@ -60,7 +60,7 @@ def bundled_program(name: str) -> str:
 def natural(text: str) -> int:
     """argparse type for counts: a decimal integer that is not negative."""
     value = int(text)
-    if value < 0:
+    if not is_nat(value):
         raise argparse.ArgumentTypeError(f"{text} is not a natural number")
     return value
 
@@ -149,7 +149,7 @@ def cmd_run(image_path: str, backend: str, steps: int, entry: str | None,
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name, value in (("entry", eip), ("esp", esp)):
-        if not 0 <= value <= MASK32:
+        if not is_word(value):
             print(f"error: {name} {value:#x} is not a 32-bit address",
                   file=sys.stderr)
             return 2
@@ -264,7 +264,7 @@ def verify_popcount(width: int, samples: int, seed: int) -> tuple[int, int]:
     """Run the bundled popcount program exhaustively for n < 2^width plus
     `samples` random 32-bit inputs; returns (cases, mismatches) against
     the host bit-count oracle."""
-    if not 0 <= width <= 32:
+    if not is_nat(width, 33):
         raise ValueError("width must be in 0..32")
     image, symbols = asm.assemble(asm.parse(bundled_program("popcount.ys")))
     base = image.load(SparseMemory())
@@ -331,10 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "or the lowest image address)")
     p.add_argument("--esp", type=lambda s: int(s, 0), default=DEFAULT_ESP)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--seed", type=int, default=seed,
-                   help="accepted and unused: no backend draws from it, "
-                        "and the lockstep backend checks the whole memory "
-                        "once the run ends")
 
     p = sub.add_parser("check", help="run the obligation suites")
     p.add_argument("target", choices=("demo-st", "const-stobj", "y86"))

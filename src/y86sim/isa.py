@@ -29,18 +29,25 @@ __all__ = [
     "Instruction", "encoded_length", "decode", "encode",
     "cond_holds", "alu_bits", "format_instruction",
     "REGISTER_NAMES", "OPERANDS", "MNEMONICS", "OPCODES", "MEM_SIZE",
-    "MAX_LENGTH", "is_word",
+    "MAX_LENGTH", "is_nat", "is_word",
 ]
 
 MASK32 = 0xFFFFFFFF
 MEM_SIZE = 1 << 32  # bytes in the address space
 
 
+def is_nat(value, bound=None) -> bool:
+    """Whether `value` is an int that is not a bool, at least 0 and, when
+    `bound` is given, below it: the one range rule of every guard,
+    recognizer and argument check.  An exact int is tested first."""
+    return ((value.__class__ is int
+             or isinstance(value, int) and value.__class__ is not bool)
+            and 0 <= value and (bound is None or value < bound))
+
+
 def is_word(value) -> bool:
-    """Whether `value` is a 32-bit word, an int in 0..MASK32 that is not a
-    bool: the one rule for a register value, an eip and a guarded address."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and 0 <= value <= MASK32)
+    """`is_nat` at 2^32: a register value, an eip or a guarded address."""
+    return is_nat(value, MEM_SIZE)
 
 
 class Register(IntEnum):
@@ -70,7 +77,7 @@ class Flags:
 
     def __post_init__(self):
         for name in ("zf", "sf", "of"):
-            if getattr(self, name) not in (0, 1):
+            if not is_nat(getattr(self, name), 2):
                 raise ValueError(f"{name} must be 0 or 1")
 
 
@@ -198,7 +205,7 @@ class Instruction:
         if (k in _REAL_RB) == (rb is Register.NONE):
             raise ValueError(f"bad rB operand for {k.name}")
         if k in _HAS_VALUE:
-            if not 0 <= self.value <= MASK32:
+            if not is_word(self.value):
                 raise ValueError("constant does not fit in 32 bits")
         elif self.value != 0:
             raise ValueError(f"{k.name} takes no constant")

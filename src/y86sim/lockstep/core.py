@@ -38,6 +38,7 @@ from ..errors import (
     PoisonedState,
     PreservationFailure,
 )
+from ..isa import is_nat
 
 __all__ = [
     "Export", "LockstepSpec", "DualState",
@@ -448,7 +449,7 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
     with the reproducing case seed (and shrunk arguments when the source
     supports snapshots), never raised.
     """
-    if n_cases < 0:
+    if not is_nat(n_cases):
         raise ValueError("case count must be a natural number")
     outcomes: list[ObligationOutcome] = []
 

@@ -27,7 +27,7 @@ from typing import Any, Callable
 from ..errors import CorrespondenceFailure, InjectedFault
 from ..isa import (
     MASK32, MNEMONICS, OPERANDS, Flags, Instruction, Register, Status, encode,
-    is_word,
+    is_nat, is_word,
 )
 from ..machine import Machine, correspondence
 from ..mem_paged import MEM_SIZE, PagedMemory
@@ -108,9 +108,7 @@ def even_update_misc(a: EvenMap, v) -> EvenMap:
 
 def even_recognizer(a) -> bool:
     return isinstance(a, EvenMap) and all(
-        isinstance(k, int) and 0 <= k < SLOT_COUNT
-        and isinstance(v, int) and not isinstance(v, bool)
-        and v >= 0 and v % 2 == 0
+        is_nat(k, SLOT_COUNT) and is_nat(v) and v % 2 == 0
         for k, v in a.slots.items()
     )
 
@@ -163,7 +161,7 @@ def demo_spec(corrupt: str | None = None) -> LockstepSpec:
         index_bound = SLOT_COUNT + 20
 
     def index_ok(k):
-        return isinstance(k, int) and 0 <= k < index_bound
+        return is_nat(k, index_bound)
 
     exports = (
         Export(
@@ -177,8 +175,7 @@ def demo_spec(corrupt: str | None = None) -> LockstepSpec:
             "update", "updater",
             logic_fn=update_logic,
             exec_fn=update_exec,
-            guard=lambda a, k, v: (index_ok(k) and isinstance(v, int)
-                                   and v >= 0 and v % 2 == 0),
+            guard=lambda a, k, v: index_ok(k) and is_nat(v) and v % 2 == 0,
             exec_guard=lambda c, k, v: 0 <= k < len(c.slots),
         ),
         Export(
@@ -355,7 +352,7 @@ def _y86_recognizer(a) -> bool:
         and len(a.regs) == 8
         and all(map(is_word, a.regs))
         and is_word(a.eip)
-        and a.zf in (0, 1) and a.sf in (0, 1) and a.of in (0, 1)
+        and is_nat(a.zf, 2) and is_nat(a.sf, 2) and is_nat(a.of, 2)
         and isinstance(a.status, Status)
     )
 
@@ -386,14 +383,14 @@ def y86_spec() -> LockstepSpec:
             "rgfi", "reader",
             logic_fn=lambda a, i: a.regs[i],
             exec_fn=lambda c, i: c.regs[i],
-            guard=lambda a, i: isinstance(i, int) and 0 <= i < 8,
+            guard=lambda a, i: is_nat(i, 8),
             exec_guard=lambda c, i: 0 <= i < len(c.regs),
         ),
         Export(
             "!rgfi", "updater",
             logic_fn=_logic(Machine.set_reg),
             exec_fn=Machine.set_reg,
-            guard=lambda a, i, v: isinstance(i, int) and 0 <= i < 8 and is_word(v),
+            guard=lambda a, i, v: is_nat(i, 8) and is_word(v),
             exec_guard=lambda c, i, v: 0 <= i < len(c.regs),
         ),
         Export(
@@ -419,7 +416,7 @@ def y86_spec() -> LockstepSpec:
             "!memi", "updater",
             logic_fn=_logic(Machine.write_byte),
             exec_fn=Machine.write_byte,
-            guard=lambda a, i, v: is_word(i) and isinstance(v, int) and 0 <= v <= 0xFF,
+            guard=lambda a, i, v: is_word(i) and is_nat(v, 256),
             exec_guard=lambda c, i, v: 0 <= i < MEM_SIZE,
             protect=True,
         ),
@@ -434,8 +431,7 @@ def y86_spec() -> LockstepSpec:
             "run", "updater",
             logic_fn=_logic(Machine.run),
             exec_fn=Machine.run,
-            guard=lambda a, k: (isinstance(k, int) and not isinstance(k, bool)
-                                and 0 <= k <= _RUN_CAP),
+            guard=lambda a, k: is_nat(k, _RUN_CAP + 1),
             protect=True,
         ),
     )

@@ -58,9 +58,10 @@ from .isa import (
     cond_holds,
     decode,
     format_instruction,
+    is_nat,
     is_word,
 )
-from .mem_paged import CHUNK, PagedMemory
+from .mem_paged import PagedMemory
 from .mem_sparse import SparseMemory
 
 __all__ = ["Machine", "LockstepReport", "run_in_lockstep", "mismatch",
@@ -70,9 +71,7 @@ ESP = 4  # stack pointer register number
 
 
 def _check_budget(n) -> None:
-    """Raise ValueError unless the step budget `n` is a natural number: an
-    int, not a bool, and not negative."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not is_nat(n):
         raise ValueError("step budget must be a natural number")
 
 
@@ -123,7 +122,7 @@ class Machine:
     # -- counted single-field updaters --------------------------------------
 
     def set_reg(self, i: int, value: int) -> None:
-        if not (isinstance(i, int) and 0 <= i < 8):
+        if not is_nat(i, 8):
             raise ValueError(f"register number {i} not in 0..7")
         if not is_word(value):
             raise ValueError("register value must be 32-bit")
@@ -164,11 +163,9 @@ class Machine:
         return int.from_bytes(self.mem.read_span(addr, 4), "little")
 
     def write_word(self, addr: int, value: int) -> None:
-        """Store `value` little-endian at `addr`; a value `is_word` rejects
-        raises ValueOutOfRange and stores nothing.  An exact int is checked
-        inline, since this is the store path."""
-        if not (value.__class__ is int and 0 <= value <= MASK32
-                or is_word(value)):
+        """Store `value` little-endian at `addr`; a value that is not a word
+        (`is_nat` at MEM_SIZE) raises ValueOutOfRange and stores nothing."""
+        if not is_nat(value, MEM_SIZE):
             raise ValueOutOfRange(f"value {value!r} not a 32-bit word")
         self.write_byte(addr, value & 0xFF)
         self.write_byte((addr + 1) & MASK32, (value >> 8) & 0xFF)
@@ -373,10 +370,11 @@ def correspondence(concrete, abstract):
     difference.  The paged memory must be `wellformed()`.  Machines that
     share a write set corresponded before the stores it records, so only
     the state and those addresses are compared.  Otherwise the state and
-    every sparse entry are, and the paged memory must hold as many nonzero
-    bytes over its `nonzero_chunks`, else its lowest page that differs is
-    compared: so the memories are equal as functions.  The recognizer is
-    not part of it: a sparse entry that holds 0 is no difference."""
+    each address the sparse `touched()` names are, and the paged memory
+    must hold as many nonzero bytes over its `nonzero_chunks`, else its
+    lowest page that differs is compared: so the memories are equal as
+    functions.  The recognizer is not part of it: a sparse entry that holds
+    0 is no difference."""
     if not (isinstance(concrete, Machine)
             and isinstance(concrete.mem, PagedMemory)
             and isinstance(abstract, Machine)
@@ -388,15 +386,16 @@ def correspondence(concrete, abstract):
     written = concrete._step_writes
     if written is not None and written is abstract._step_writes:
         return mismatch(concrete, abstract, written)
-    difference = mismatch(concrete, abstract, [*abstract.mem.touched()])
+    addrs = [*abstract.mem.touched()]
+    difference = mismatch(concrete, abstract, addrs)
     if difference is not None or (
-            sum(CHUNK - chunk.count(0) for _, chunk in mem.nonzero_chunks())
-            == len(abstract.mem)):
+            sum(len(chunk) - chunk.count(0)
+                for _, chunk in mem.nonzero_chunks()) == len(addrs)):
         return difference
     for addr, chunk in mem.nonzero_chunks():
-        if chunk != abstract.mem.read_span(addr, CHUNK):
-            return mismatch(concrete, abstract, range(addr, addr + CHUNK))
-    return None  # a sparse entry holds 0, which only the recognizer rejects
+        if chunk != abstract.mem.read_span(addr, len(chunk)):
+            return mismatch(concrete, abstract, range(addr, addr + len(chunk)))
+    return None
 
 
 def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:

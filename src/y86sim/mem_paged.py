@@ -32,7 +32,6 @@ from __future__ import annotations
 import ctypes
 import mmap
 import os
-import sys
 from array import array
 
 from .errors import AddressOutOfRange, AllocationFailure, access_error
@@ -70,8 +69,6 @@ def _mapped_pages(data: mmap.mmap) -> bytes:
     """One byte per OS page of `data`, 1 where the kernel has mapped or
     swapped the page, from one read of its pagemap entries; raises OSError
     when they cannot be read."""
-    if sys.platform != "linux":
-        raise OSError("no /proc/self/pagemap")
     # The buffer export lives only for this expression, so a later
     # `mmap.resize` still works.
     start = ctypes.addressof(ctypes.c_char.from_buffer(data))

@@ -146,17 +146,15 @@ def test_run_lockstep_names_the_step_of_a_stray_byte(tmp_path, capsys,
     assert main(["asm", str(source), "-o", str(image)]) == 0
     capsys.readouterr()
     monkeypatch.setattr("y86sim.cli.PagedMemory", StrayPaged)
-    for seed in ("1", "2"):
-        assert main(["run", str(image), "--backend", "lockstep",
-                     "--seed", seed]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "error: lockstep diverged in the final sweep after step 4: "
-            "memory at 0x1000 is 0x5a concrete vs 0x00 abstract; eips of "
-            "the last 4 steps: 0x0 0x6 0xc 0x12",
-            "replay: memory at 0x1000 first differs after step 3, "
-            "rmmovl %eax, 0x0(%ebx) at 0xc"]
+    assert main(["run", str(image), "--backend", "lockstep"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: lockstep diverged in the final sweep after step 4: "
+        "memory at 0x1000 is 0x5a concrete vs 0x00 abstract; eips of "
+        "the last 4 steps: 0x0 0x6 0xc 0x12",
+        "replay: memory at 0x1000 first differs after step 3, "
+        "rmmovl %eax, 0x0(%ebx) at 0xc"]
 
 
 def test_run_lockstep_replay_says_when_no_step_made_the_difference(
@@ -176,12 +174,17 @@ def test_run_lockstep_replay_says_when_no_step_made_the_difference(
     assert err[1].endswith(" differ; it differs from the start")
 
 
-def test_run_help_says_the_seed_draws_nothing(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "--seed SEED accepted and unused: no backend draws from it" \
-        in help_text
+def test_run_takes_no_seed(simple_yim, capsys, monkeypatch):
+    # Nothing in `run` draws a random number, so it has no --seed and does
+    # not read the seed variable.
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(simple_yim), "--backend", "lockstep", "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    monkeypatch.setenv("Y86_LOCKSTEP_SEED", "abc")
+    for backend in ("paged", "lockstep"):
+        assert main(["run", str(simple_yim), "--backend", backend]) == 0
+    assert "status=HLT" in capsys.readouterr().out
 
 
 def test_run_trace(simple_yim, capsys):
@@ -282,8 +285,9 @@ def test_negative_counts_are_rejected(capsys, argv):
 
 def test_check_obligations_rejects_negative_case_count():
     spec = demo_spec()
-    with pytest.raises(ValueError, match="natural number"):
-        check_obligations(spec, DemoCases(spec), -1)
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="natural number"):
+            check_obligations(spec, DemoCases(spec), bad)
 
 
 def test_check_demo_st(capsys, tmp_path):
@@ -384,7 +388,7 @@ PINNED_OUTPUTS = {
     "check demo-st --cases 600 --seed 3 --report R": "ec98949876e5bd9d",
     "check const-stobj --report R": "8e2969034b94dd5b",
     "run stress.yim --backend sparse --trace": "69531d62d43bb9b6",
-    "run stress.yim --backend lockstep --trace --seed 5": "b91eef22e02c79bb",
+    "run stress.yim --backend lockstep --trace": "b91eef22e02c79bb",
     "popcount --width 4 --samples 5 --seed 1": "1a3a1ab8fbf601ef",
 }
 

@@ -11,6 +11,7 @@ from y86sim.isa import (
     MASK32,
     AluFn,
     Cond,
+    Flags,
     Instruction,
     Kind,
     Register,
@@ -20,6 +21,8 @@ from y86sim.isa import (
     encode,
     encoded_length,
     format_instruction,
+    is_nat,
+    is_word,
 )
 
 REAL_REGS = [r for r in Register if r is not Register.NONE]
@@ -253,6 +256,31 @@ def test_instruction_invariants_rejected():
         Instruction(Kind.HALT, value=7)
     with pytest.raises(ValueError):
         Instruction(Kind.IRMOVL, rb=Register.EAX, value=1 << 32)
+    for bad in (True, 1.0, -1):
+        with pytest.raises(ValueError, match="constant does not fit"):
+            Instruction(Kind.IRMOVL, rb=Register.EAX, value=bad)
+
+
+def test_is_nat_is_the_one_range_rule():
+    # An int that is not a bool, at least 0 and below the bound if any.
+    for value, bound in ((0, None), (2**40, None), (0, 1), (7, 8),
+                         (Register.EDI, 8), (MASK32, 1 << 32)):
+        assert is_nat(value, bound), (value, bound)
+    for value, bound in ((-1, None), (True, None), (False, 2), (1.0, 2),
+                         (0.0, None), ("1", None), (None, None), (8, 8),
+                         (1 << 32, 1 << 32)):
+        assert not is_nat(value, bound), (value, bound)
+    for value in (0, MASK32, 1 << 32, -1, True, 1.5, Register.EDI):
+        assert is_word(value) == is_nat(value, 1 << 32)
+
+
+def test_flags_are_bits_and_refuse_a_bool_or_a_float():
+    assert Flags(1, 0, 1) == Flags(zf=1, sf=0, of=1)
+    for bad in (1.0, True, False, 2, -1):
+        with pytest.raises(ValueError, match="zf must be 0 or 1"):
+            Flags(bad, 0, 0)
+        with pytest.raises(ValueError, match="of must be 0 or 1"):
+            Flags(0, 0, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from y86sim.errors import (
     PoisonedState,
     PreservationFailure,
 )
+from y86sim.isa import Register
 from y86sim.lockstep import (
     CaseSource,
     DemoCases,
@@ -297,6 +298,47 @@ def test_y86_guard_violations():
         dual.invoke("run", 65)
 
 
+def test_guards_and_recognizers_share_one_range_rule():
+    # A bool is refused by every guard and recognizer alike, so no guard
+    # admits what the recognizer then rejects; 0, each bound minus 1 and
+    # an IntEnum are admitted.
+    demo = DualState(demo_spec())
+    with pytest.raises(GuardViolation):
+        demo.invoke("update", 3, False)
+    with pytest.raises(GuardViolation):
+        demo.invoke("lookup", True)
+    demo.invoke("update", 0, 0)
+    demo.invoke("update", SLOT_COUNT - 1, 2)
+    assert demo.invoke("lookup", SLOT_COUNT - 1) == 2
+    even = demo_spec().recognizer_logic
+    assert not even(EvenMap(slots={True: 2}))
+    assert not even(EvenMap(slots={1: False}))
+    dual = DualState(y86_spec())
+    for name, args in (("!memi", (0x10, True)), ("!rgfi", (True, 5)),
+                       ("rgfi", (True,)), ("run", (True,))):
+        with pytest.raises(GuardViolation):
+            dual.invoke(name, *args)
+    dual.invoke("!memi", 0xFFFFFFFF, 0xFF)
+    dual.invoke("!memi", 0, 0)
+    dual.invoke("!rgfi", Register.EDI, 0xFFFFFFFF)
+    dual.invoke("!rgfi", 0, 5)
+    assert dual.invoke("rgfi", Register.EDI) == 0xFFFFFFFF
+    assert dual.invoke("rgfi", 0) == 5
+    dual.invoke("run", 0)
+    assert dual.recognizer(audit=True)
+
+
+def test_y86_recognizer_refuses_a_flag_that_is_a_bool_or_a_float():
+    recognizer = y86_spec().recognizer_logic
+    m = Machine(SparseMemory())
+    for zf in (0, 1):
+        m.zf = zf
+        assert recognizer(m)
+    for bad in (True, False, 1.0, 2):
+        m.zf = bad
+        assert not recognizer(m)
+
+
 def test_y86_multi_update_exports_are_protected():
     # Machine.step and Machine.run tally no updates of their own; that is
     # sound only while the protocol never reads an update delta across them.
@@ -316,6 +358,22 @@ def test_y86_corr_compares_every_byte_the_sparse_memory_holds():
     concrete.write_byte(0x101, concrete.read_byte(0x101) ^ 0x40)
     assert (spec.corr(concrete, abstract)
             == "memory at 0x101 is 0x41 concrete vs 0x01 abstract")
+
+
+def test_y86_corr_finds_a_stray_byte_beside_a_zero_sparse_entry():
+    # A zero-valued entry of an adopted sparse map must not cancel a stray
+    # paged byte in the nonzero-byte count: `touched()` leaves it out, so it
+    # is neither compared nor counted.
+    concrete = Machine(PagedMemory())
+    concrete.mem.write(0x200, 5)
+    for entries in ({0x100: 0}, {}):
+        abstract = Machine(SparseMemory._from_raw(entries))
+        assert (correspondence(concrete, abstract)
+                == "memory at 0x200 is 0x05 concrete vs 0x00 abstract")
+    assert (correspondence(concrete, Machine(SparseMemory()))
+            == "memory at 0x200 is 0x05 concrete vs 0x00 abstract")
+    abstract = Machine(SparseMemory._from_raw({0x100: 0, 0x200: 5}))
+    assert correspondence(concrete, abstract) is None
 
 
 def test_y86_malformed_memory_is_caught_by_preservation_alone():

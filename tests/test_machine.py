@@ -985,11 +985,14 @@ def test_set_reg_validation():
             m.set_reg(0, bad)
         with pytest.raises(ValueError, match="32-bit"):
             m.set_eip(bad)
-    for bad in (1.5, 2.0, "1", None):
+    for bad in (1.5, 2.0, "1", None, True, False):
         with pytest.raises(ValueError,
                            match=re.escape(f"register number {bad} not in")):
             m.set_reg(bad, 0)
     assert m.regs == [0] * 8 and m.eip == 0 and m.update_count == before
+    m.set_reg(Register.EDI, 5)
+    m.set_reg(0, MASK32)
+    assert m.regs == [MASK32, 0, 0, 0, 0, 0, 0, 5]
 
 
 def test_copy_independence():
@@ -1077,8 +1080,9 @@ def test_versions_of_shared_histories_against_plain_dict_oracle():
             assert [mm.read_byte(a) for a in addrs] \
                 == [contents.get(a, 0) for a in addrs]
         for mem, contents in snapshots:
-            assert [mem.read(a) for a in addrs] \
-                == [contents.get(a, 0) for a in addrs]
+            expected = [contents.get(a, 0) for a in addrs]
+            assert list(mem.read_span(0, len(addrs))) == expected
+            assert [mem.read(a) for a in addrs] == expected
     assert len(snapshots) > 100 and len(machines) == 6
 
 

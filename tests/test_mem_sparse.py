@@ -58,6 +58,9 @@ def test_touched():
     assert mem.touched() == frozenset({5, 8})
     assert mem.write(5, 0).touched() == frozenset({8})
     assert mem.items() == [(5, 9), (8, 1)]
+    # An adopted map's entry that holds 0 holds no byte.
+    adopted = SparseMemory._from_raw({5: 0, 8: 1})
+    assert adopted.touched() == adopted.write(9, 2).touched() - {9} == {8}
 
 
 def test_constructor_canonicalizes_and_validates():
