@@ -207,7 +207,7 @@ class Instruction:
         if k in _HAS_VALUE:
             if not is_word(self.value):
                 raise ValueError("constant does not fit in 32 bits")
-        elif self.value != 0:
+        elif not is_nat(self.value, 1):
             raise ValueError(f"{k.name} takes no constant")
         object.__setattr__(self, "kind", k)
         object.__setattr__(self, "fn", fn)

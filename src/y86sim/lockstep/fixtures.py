@@ -473,17 +473,16 @@ class Y86Cases(CaseSource):
     it to both sides, which preserves correspondence by construction
     regardless of export correctness.  Generated addresses and register
     values stay within a couple of 16MB blocks so executed instruction
-    soup cannot allocate pages all over the 4GB space; a page-count valve
-    rebuilds the pool if arithmetic drift escapes the domain anyway.  A
-    drawn pair and the logic side's copies share a fresh write set, so a
-    case compares its own stores.  `_fresh` checks a pair it retires on
+    soup cannot allocate pages all over the 4GB space, and the periodic
+    resets bound the blocks that arithmetic drift reaches.  A drawn pair
+    and the logic side's copies share a fresh write set, so a case
+    compares its own stores.  `_fresh` checks a pair it retires on
     schedule whole, and raises "pool history: ..." at a store no write set
     saw, naming the draws that built and retired the pair; so the periodic
     resets bound the history one check covers.
     """
 
     BLOCKS = (0, 1)
-    PAGE_VALVE = 6
     RESET_EVERY = 250
     _built = None  # the number of the draw that built the pool pair
 
@@ -495,9 +494,6 @@ class Y86Cases(CaseSource):
         return self._addr(rng) if rng.random() < 0.7 else rng.getrandbits(13)
 
     def draw(self, export_name, rng):
-        if (self._pair is not None
-                and self._pair[0].mem.pages_allocated() > self.PAGE_VALVE):
-            self._pair = None
         concrete, abstract, args = super().draw(export_name, rng)
         concrete._step_writes = abstract._step_writes = set()
         return concrete, abstract, args

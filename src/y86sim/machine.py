@@ -28,7 +28,9 @@ masked to 32 bits, so that address is computed once per decode, not once
 per step.  The bytes each entry was decoded from are kept too.  A byte
 write into a cached span drops the cache, so self-modifying code
 re-decodes, and a reload that keeps the cache first checks those bytes
-against the new memory.
+against the new memory.  A `copy` starts with an empty cache, so a decoded
+instruction reaches another machine only through that checked reload, and
+the logic side of a y86 obligation decodes from its own memory.
 
 `correspondence` states once how a paged machine corresponds to a sparse
 one, exactly or over a shared write set: `y86_spec()` registers it as
@@ -270,8 +272,8 @@ class Machine:
     # -- lifecycle -----------------------------------------------------------
 
     def copy(self) -> "Machine":
-        """Independent machine with equal state; a sparse memory and a write
-        set are shared."""
+        """Independent machine with equal state and an empty decode cache; a
+        sparse memory and a write set are shared."""
         new = object.__new__(Machine)
         new.regs = list(self.regs)
         new.eip = self.eip
@@ -280,8 +282,8 @@ class Machine:
         new.mem = self.mem.copy()
         new._updates = self._updates
         new.icache_clears = self.icache_clears
-        new._icache = dict(self._icache)
-        new._icache_bytes = dict(self._icache_bytes)
+        new._icache = {}
+        new._icache_bytes = {}
         new._step_writes = self._step_writes
         return new
 
@@ -373,29 +375,42 @@ def correspondence(concrete, abstract):
     each address the sparse `touched()` names are, and the paged memory
     must hold as many nonzero bytes over its `nonzero_chunks`, else its
     lowest page that differs is compared: so the memories are equal as
-    functions.  The recognizer is not part of it: a sparse entry that holds
+    functions.  Counts that differ with no page to show it, as from a
+    pagemap that leaves a page out, are named as a difference too.  The
+    recognizer is not part of it: a sparse entry that holds
     0 is no difference."""
+    return _compare(concrete, abstract)[0]
+
+
+def _compare(concrete, abstract):
+    """`correspondence`'s verdict and how many write-set or `touched()`
+    addresses it compared, so a caller need not read the sparse map again
+    to count them."""
     if not (isinstance(concrete, Machine)
             and isinstance(concrete.mem, PagedMemory)
             and isinstance(abstract, Machine)
             and isinstance(abstract.mem, SparseMemory)):
-        return "the pair is not a paged machine and a sparse one"
+        return "the pair is not a paged machine and a sparse one", 0
     mem = concrete.mem
     if not mem.wellformed():
-        return "the paged memory is not wellformed()"
+        return "the paged memory is not wellformed()", 0
     written = concrete._step_writes
     if written is not None and written is abstract._step_writes:
-        return mismatch(concrete, abstract, written)
+        return mismatch(concrete, abstract, written), len(written)
     addrs = [*abstract.mem.touched()]
     difference = mismatch(concrete, abstract, addrs)
-    if difference is not None or (
-            sum(len(chunk) - chunk.count(0)
-                for _, chunk in mem.nonzero_chunks()) == len(addrs)):
-        return difference
+    if difference is not None:
+        return difference, len(addrs)
+    nonzero = sum(len(chunk) - chunk.count(0)
+                  for _, chunk in mem.nonzero_chunks())
+    if nonzero == len(addrs):
+        return None, len(addrs)
     for addr, chunk in mem.nonzero_chunks():
         if chunk != abstract.mem.read_span(addr, len(chunk)):
-            return mismatch(concrete, abstract, range(addr, addr + len(chunk)))
-    return None
+            span = range(addr, addr + len(chunk))
+            return mismatch(concrete, abstract, span), len(addrs)
+    return (f"nonzero byte count is {nonzero} concrete vs {len(addrs)} "
+            f"abstract, and no page named differs", len(addrs))
 
 
 def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:
@@ -417,8 +432,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     the memories are equal as functions.  Raises CorrespondenceFailure on
     the first divergence, naming the step, the first difference and the
     last few eips.  `seed` draws nothing.  `addresses_checked` counts the
-    addresses `mismatch` compared: each step's write set, then the sparse
-    memory's entries.
+    addresses `mismatch` compared: each step's write set, then the
+    addresses the sparse memory's `touched()` names.
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
@@ -448,9 +463,8 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    difference = correspondence(concrete, abstract)
+    difference, swept = _compare(concrete, abstract)
     if difference is not None:
         raise _divergence(f"in the final sweep after step {steps}", difference,
                           recent)
-    checked += len(abstract.mem)
-    return LockstepReport(steps=steps, addresses_checked=checked)
+    return LockstepReport(steps=steps, addresses_checked=checked + swept)

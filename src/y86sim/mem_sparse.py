@@ -204,13 +204,16 @@ class SparseMemory:
 class _Adopted(SparseMemory):
     """A version of a history that `_from_raw` adopted unchecked; each
     `write` keeps the class, so `wellformed()` scans every version, and
-    `touched()` leaves out an entry that holds 0."""
+    `touched()` and `len` leave out an entry that holds 0."""
 
     __slots__ = ()
     _trusted = False
 
     def touched(self) -> frozenset[int]:
         return frozenset(a for a, v in self._reroot().items() if v)
+
+    def __len__(self) -> int:
+        return len(self.touched())
 
     def write(self, addr: int, value: int) -> SparseMemory:
         new = SparseMemory.write(self, addr, value)

@@ -259,6 +259,9 @@ def test_instruction_invariants_rejected():
     for bad in (True, 1.0, -1):
         with pytest.raises(ValueError, match="constant does not fit"):
             Instruction(Kind.IRMOVL, rb=Register.EAX, value=bad)
+    for bad in (0.0, False):
+        with pytest.raises(ValueError, match="HALT takes no constant"):
+            Instruction(Kind.HALT, value=bad)
 
 
 def test_is_nat_is_the_one_range_rule():

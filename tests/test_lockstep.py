@@ -15,7 +15,7 @@ from y86sim.errors import (
     PoisonedState,
     PreservationFailure,
 )
-from y86sim.isa import Register
+from y86sim.isa import Register, alu_bits, cond_holds
 from y86sim.lockstep import (
     CaseSource,
     DemoCases,
@@ -23,6 +23,7 @@ from y86sim.lockstep import (
     EvenMap,
     Export,
     LockstepSpec,
+    ObligationReport,
     OneField,
     SlotStore,
     Y86Cases,
@@ -35,7 +36,7 @@ from y86sim.lockstep import (
 )
 from y86sim.lockstep.fixtures import SLOT_COUNT
 from y86sim.machine import Machine, correspondence
-from y86sim.mem_paged import PagedMemory
+from y86sim.mem_paged import CHUNK, PagedMemory
 from y86sim.mem_sparse import SparseMemory, _canonical
 
 from conftest import StrayPaged
@@ -376,6 +377,21 @@ def test_y86_corr_finds_a_stray_byte_beside_a_zero_sparse_entry():
     assert correspondence(concrete, abstract) is None
 
 
+def test_y86_corr_fails_closed_when_the_counts_disagree(monkeypatch):
+    # A pagemap that reads but names no page hides the stray byte at 0x5000
+    # from every page walk; the counts still differ, and that is named.
+    concrete, abstract = Machine(PagedMemory()), Machine(SparseMemory())
+    for m in (concrete, abstract):
+        m.write_byte(0x100, 7)
+    concrete.mem.write(0x5000, 9)
+    assert (correspondence(concrete, abstract)
+            == "memory at 0x5000 is 0x09 concrete vs 0x00 abstract")
+    monkeypatch.setattr("y86sim.mem_paged._mapped_pages",
+                        lambda data: bytes(len(data) // CHUNK))
+    assert (correspondence(concrete, abstract) == "nonzero byte count is 0 "
+            "concrete vs 1 abstract, and no page named differs")
+
+
 def test_y86_malformed_memory_is_caught_by_preservation_alone():
     # This !memi keeps a zero-valued entry, which a canonical sparse memory
     # never holds.  Both sides read 0 there, so the pair corresponds; the
@@ -570,6 +586,28 @@ def test_y86_suite_finds_the_stray_write_mutant_in_the_pool_history(
                and f.message.startswith("pool history: memory at ")]
     assert history, report.to_text()
     assert all(f.args == "()" for f in history)
+
+
+def _write_byte_keeping_a_stale_cache(self, addr, value):
+    # `Machine.write_byte` that never drops a decode cache holding `addr`.
+    self.mem = self.mem.write(addr, value)
+    if self._step_writes is not None:
+        self._step_writes.add(addr)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_y86_suite_finds_a_decode_cache_that_misses_a_store(monkeypatch,
+                                                            seed):
+    # Every machine runs the mutant, but each logic side is a copy that
+    # starts with an empty decode cache, so it runs the bytes its memory
+    # holds while the exec side runs what it decoded before a store.
+    monkeypatch.setattr(Machine, "write_byte",
+                        _write_byte_keeping_a_stale_cache)
+    report = check_obligations(y86_spec(), Y86Cases(), 300, seed)
+    failed = {o.name for o in report.outcomes if o.failures}
+    assert failed, report.to_text()
+    assert failed <= {"step{CORRESPONDENCE}", "run{CORRESPONDENCE}"}, (
+        report.to_text())
 
 
 def test_a_pool_history_failure_names_the_draws_of_its_pair(monkeypatch):
@@ -796,3 +834,30 @@ def test_case_source_contract_enforced():
 
     with pytest.raises(ValueError):
         check_obligations(spec, BadSource(spec), n_cases=5, seed=0)
+
+
+_GET = Export("get", "reader", logic_fn=lambda a: a, exec_fn=lambda c: c,
+              guard=lambda a: True)
+
+
+def _spec_of(*exports):
+    return LockstepSpec("bad", lambda a: True, lambda: 0, lambda: 0,
+                        lambda c, a: None, exports)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: _spec_of(_GET, _GET), ValueError, "duplicate export names"),
+    (lambda: _spec_of(dataclasses.replace(_GET, kind="writer")), ValueError,
+     "export 'get': bad kind 'writer'"),
+    (lambda: DualState(demo_spec(), mode="x"), ValueError,
+     "mode must be 'check' or 'fast'"),
+    (lambda: demo_spec(corrupt="x"), ValueError, "unknown corruption 'x'"),
+    (lambda: ObligationReport("s", 0, []).outcome("missing"), KeyError,
+     "missing"),
+    (lambda: cond_holds(7, 0, 0, 0), ValueError, "undefined condition 7"),
+    (lambda: alu_bits(4, 0, 0), ValueError, "undefined ALU function 4"),
+], ids=["duplicate-export", "writer-kind", "dualstate-mode",
+        "demo-corruption", "missing-outcome", "cond-holds", "alu-bits"])
+def test_registration_and_argument_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -651,6 +651,13 @@ def test_lockstep_simple(simple_assembled):
     assert concrete.regs[EAX] == abstract.regs[EAX] == 1023
 
 
+def test_lockstep_counts_only_the_bytes_an_adopted_map_holds():
+    # An adopted entry that holds 0 is not compared, so it is not counted.
+    abstract = Machine(SparseMemory._from_raw({0x100: 0}))
+    report = run_in_lockstep(Machine(PagedMemory()), abstract, 5)
+    assert report.steps == 1 and report.addresses_checked == 0
+
+
 def test_lockstep_random_programs():
     # Random instruction soup: the two backends must stay identical through
     # whatever the programs do, including faulting.
@@ -1011,6 +1018,28 @@ def test_copy_independence():
             assert one.read_byte(0x300) == 0
             dup.write_byte(0, 0xC0)
             assert m.read_byte(0) == 0x10
+
+
+def test_copy_keeps_the_state_and_starts_an_empty_decode_cache():
+    # irmovl $7, %edx; nop; halt
+    image = asm.Image([(0, 0x30), (1, 0xF2), (2, 7), (6, 0x10), (7, 0x00)])
+    m = Machine(SparseMemory(), esp=8192, image=image)
+    m.run(2)
+    m.set_flags(Flags(1, 0, 1))
+    m._step_writes = set()
+    dup = m.copy()
+    assert (dup.regs, dup.eip, dup.flags, dup.status) == (
+        m.regs, m.eip, m.flags, m.status) == (
+        [0, 0, 7, 0, 8192, 0, 0, 0], 7, Flags(1, 0, 1), Status.AOK)
+    assert dup.regs is not m.regs
+    assert dup.mem is m.mem and dup._step_writes is m._step_writes
+    assert len(m._icache) == 2 and m._icache_bytes
+    assert dup._icache == {} and dup._icache_bytes == {}
+    # The copy decodes from its own memory: a store into a span the
+    # original has cached, made past `write_byte`, is what it runs.
+    dup.mem = dup.mem.write(6, 0x00)
+    dup.eip = 6
+    assert dup.step().kind is Kind.HALT and m.read_byte(6) == 0x10
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,10 @@ def test_touched():
     # An adopted map's entry that holds 0 holds no byte.
     adopted = SparseMemory._from_raw({5: 0, 8: 1})
     assert adopted.touched() == adopted.write(9, 2).touched() - {9} == {8}
+    # `len` and `repr` count what `touched()` names; the map stays malformed.
+    assert len(adopted) == 1 and len(adopted.write(9, 2)) == 2
+    assert repr(adopted) == "SparseMemory(1 bytes set)"
+    assert not adopted.wellformed()
 
 
 def test_constructor_canonicalizes_and_validates():
