@@ -266,6 +266,8 @@ def verify_popcount(width: int, samples: int, seed: int) -> tuple[int, int]:
     the host bit-count oracle."""
     if not is_nat(width, 33):
         raise ValueError("width must be in 0..32")
+    if not is_nat(samples):
+        raise ValueError("samples must be a natural number")
     image, symbols = asm.assemble(asm.parse(bundled_program("popcount.ys")))
     base = image.load(SparseMemory())
     entry = symbols["call-popcount"]

@@ -239,7 +239,8 @@ def decode(image, offset: int = 0) -> tuple[Instruction, int]:
     mid-instruction, or with `Instruction`'s message for a field it rejects.
     """
     n = len(image)
-    if not 0 <= offset < n:
+    # The exact-int test is `is_nat`'s own first case, inline on every fetch.
+    if not (offset.__class__ is int and 0 <= offset < n or is_nat(offset, n)):
         raise InvalidInstruction(f"offset {offset} outside image of {n} bytes")
     b0 = image[offset]
     op = OPCODES.get(b0)

@@ -25,6 +25,7 @@ exceeds its budget.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import zlib
@@ -159,8 +160,10 @@ class DualState:
         """Run one export under guard checks and the atomicity protocol.
 
         Returns the reader's value; updaters return None.  Raises
-        GuardViolation, PoisonedState, AtomicityViolation, and (in check
-        mode) CorrespondenceFailure / PreservationFailure.
+        GuardViolation (for arguments the guard rejects or that do not fit
+        its signature, before either state is touched), PoisonedState,
+        AtomicityViolation, and (in check mode) CorrespondenceFailure /
+        PreservationFailure.
         """
         export = self._exports.get(name)
         if export is None:
@@ -169,7 +172,16 @@ class DualState:
             detail = f": {self._poison_info}" if self._poison_info else ""
             raise PoisonedState(
                 f"{self.spec.name} was abandoned mid-update{detail}")
-        if not export.guard(self.abstract, *args):
+        try:
+            admitted = export.guard(self.abstract, *args)
+        except TypeError:
+            # Bound only on this path, so an admitted invoke pays nothing.
+            try:
+                inspect.signature(export.guard).bind(self.abstract, *args)
+            except TypeError as exc:
+                raise GuardViolation(f"export {name!r}: {exc}") from None
+            raise
+        if not admitted:
             raise GuardViolation(f"guard of {name!r} rejects {args!r}")
 
         concrete = self.concrete
@@ -252,16 +264,17 @@ class CaseSource:
 
     A subclass sets `RESET_EVERY` and defines `_fresh()`, a new [concrete,
     abstract] list; `_evolve(concrete, abstract, rng)`, one update of the
-    pair that returns its next abstract value; and `_args_for(export_name,
-    rng, abstract)`.  `draw` rebuilds the pair on the first draw, every
-    `RESET_EVERY` draws and after `mark_failure`, then evolves it zero to
-    two times; an `_evolve` that raises ends the half-updated pair, which
-    is rebuilt.  `_fresh` finds `_pair` set only when it retires a pair on
-    schedule; `check_obligations` records a CorrespondenceFailure it raises
-    as that case's.  `_drawn` counts the draws begun, a raising one too, so
-    `_drawn - 1` numbers the current draw from 0.  `advance` takes a
-    passing updater's new abstract value.  `snapshot` returning independent
-    copies enables counterexample shrinking; returning None disables it.
+    pair that returns its next abstract value; `_args_for(export_name,
+    rng, abstract)`; and `_retire(concrete, abstract)`, a retired pair's
+    first difference or None.  Only `draw` retires a pair, every
+    `RESET_EVERY` draws, and raises a difference as "pool history: ..."
+    naming the draws, numbered from 0, that built and retired the pair;
+    `check_obligations` records it as that case's.  `draw` evolves the
+    pair zero to two times, and it also builds a pair on the first draw,
+    after `mark_failure` and after an `_evolve` that raises, dropping the
+    old pair uncompared.  `advance` takes a passing updater's new abstract
+    value.  `snapshot` returning independent copies enables counterexample
+    shrinking; returning None disables it.
     """
 
     RESET_EVERY: int
@@ -269,19 +282,27 @@ class CaseSource:
     def __init__(self):
         self._pair: list | None = None
         self._drawn = 0
+        self._built = None  # the number of the draw that built the pair
 
     def draw(self, export_name: str, rng: random.Random):
         drawn = self._drawn
         self._drawn = drawn + 1
         if self._pair is None or drawn % self.RESET_EVERY == 0:
-            self._pair = self._fresh()
+            retired, self._pair = self._pair, None
+            if retired is not None:
+                difference = self._retire(*retired)
+                del retired  # hold no retired machine past its check
+                if difference is not None:
+                    raise CorrespondenceFailure(
+                        f"pool history: {difference}; pair built at draw "
+                        f"{self._built}, retired at draw {drawn}")
+            self._pair, self._built = self._fresh(), drawn
         concrete, abstract = self._pair
         try:
             for _ in range(rng.randrange(3)):
                 abstract = self._evolve(concrete, abstract, rng)
         except Exception:  # the export's own cases record the raise
-            self._pair = None  # not retired: `_fresh` checks nothing
-            self._pair = self._fresh()
+            self._pair, self._built = self._fresh(), drawn
             concrete, abstract = self._pair
         self._pair[1] = abstract
         return concrete, abstract, self._args_for(export_name, rng, abstract)
@@ -292,6 +313,9 @@ class CaseSource:
 
     def mark_failure(self) -> None:
         self._pair = None
+
+    def _retire(self, concrete, abstract):
+        return None
 
     def snapshot(self, concrete, abstract):
         return None
@@ -409,29 +433,25 @@ def _shrink_args(spec, export, source, pristine, args):
         _, failures = _evaluate_case(spec, export, c, a, candidate)
         return bool(failures)
 
-    best = tuple(args)
+    original = best = tuple(args)
     attempts = 0
     improved = True
-    while improved and attempts < _SHRINK_ATTEMPTS:
+    while improved:
         improved = False
         for idx, val in enumerate(best):
             if not isinstance(val, int) or isinstance(val, bool) or val == 0:
                 continue
             sign = 1 if val > 0 else -1
             for smaller in (0, sign * (abs(val) // 2), val - sign):
-                if abs(smaller) >= abs(val):
-                    continue
-                candidate = best[:idx] + (smaller,) + best[idx + 1:]
+                if attempts == _SHRINK_ATTEMPTS:
+                    return best if best != original else None
                 attempts += 1
+                candidate = best[:idx] + (smaller,) + best[idx + 1:]
                 if still_fails(candidate):
                     best = candidate
                     improved = True
                     break
-                if attempts >= _SHRINK_ATTEMPTS:
-                    break
-            if attempts >= _SHRINK_ATTEMPTS:
-                break
-    return best if best != tuple(args) else None
+    return best if best != original else None
 
 
 def _case_seed(suite_seed: int, export_name: str, case: int) -> int:

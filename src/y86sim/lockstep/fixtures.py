@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..errors import CorrespondenceFailure, InjectedFault
+from ..errors import InjectedFault
 from ..isa import (
     MASK32, MNEMONICS, OPERANDS, Flags, Instruction, Register, Status, encode,
     is_nat, is_word,
@@ -476,15 +476,13 @@ class Y86Cases(CaseSource):
     soup cannot allocate pages all over the 4GB space, and the periodic
     resets bound the blocks that arithmetic drift reaches.  A drawn pair
     and the logic side's copies share a fresh write set, so a case
-    compares its own stores.  `_fresh` checks a pair it retires on
-    schedule whole, and raises "pool history: ..." at a store no write set
-    saw, naming the draws that built and retired the pair; so the periodic
+    compares its own stores.  `_retire` compares a pair retired on
+    schedule whole, so `draw` names a store no write set saw; the periodic
     resets bound the history one check covers.
     """
 
     BLOCKS = (0, 1)
     RESET_EVERY = 250
-    _built = None  # the number of the draw that built the pool pair
 
     def _addr(self, rng) -> int:
         return (rng.choice(self.BLOCKS) << 24) | rng.getrandbits(24)
@@ -499,18 +497,11 @@ class Y86Cases(CaseSource):
         return concrete, abstract, args
 
     def _fresh(self):
-        retired, self._pair = self._pair, None
-        drawn = self._drawn - 1  # this draw's number
-        if retired is not None:
-            concrete, abstract = retired
-            concrete._step_writes = abstract._step_writes = None
-            difference = correspondence(concrete, abstract)
-            if difference is not None:
-                raise CorrespondenceFailure(
-                    f"pool history: {difference}; pair built at draw "
-                    f"{self._built}, retired at draw {drawn}")
-        self._built = drawn
         return [Machine(PagedMemory()), Machine(SparseMemory())]
+
+    def _retire(self, concrete, abstract):
+        concrete._step_writes = abstract._step_writes = None
+        return correspondence(concrete, abstract)
 
     def _evolve(self, concrete, abstract, rng):
         op = rng.randrange(8)

@@ -35,7 +35,7 @@ import os
 from array import array
 
 from .errors import AddressOutOfRange, AllocationFailure, access_error
-from .isa import MASK32, MEM_SIZE
+from .isa import MASK32, MEM_SIZE, is_nat
 
 __all__ = ["TABLE_SIZE", "PAGE_SIZE", "MEM_SIZE", "SENTINEL", "CHUNK",
            "PagedMemory"]
@@ -168,7 +168,7 @@ class PagedMemory:
         """Allocate block `top` as one zero page appended at the cursor,
         which is always the end of the array: the first block maps the
         array, each later one grows the mapping in place."""
-        if not 0 <= top < TABLE_SIZE:
+        if not is_nat(top, TABLE_SIZE):
             raise AddressOutOfRange(f"block number {top} not in 0..255")
         if self.table[top] != SENTINEL:
             raise ValueError(f"block {top} already allocated")

@@ -283,6 +283,14 @@ def test_image_text_round_trip(simple_assembled):
     assert symbols2 == symbols
 
 
+def test_image_text_skips_blank_and_comment_lines_and_compares_with_any_type():
+    image, symbols = Image.from_text(
+        "# not a symbol line\n\n  \n0x00000004: 10\n# symbol end 0x00000005\n")
+    assert (image, symbols) == (Image([(4, 0x10)]), {"end": 5})
+    assert repr(image) == "Image(1 bytes)"
+    assert image != [(4, 0x10)] and not image == "0x00000004: 10"
+
+
 def test_image_load_into_both_backends(simple_assembled):
     image, _ = simple_assembled
     paged = image.load(PagedMemory())

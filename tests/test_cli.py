@@ -8,7 +8,12 @@ import pytest
 
 from y86sim.cli import bundled_program, main, verify_popcount
 from y86sim.isa import AluFn, alu_bits
-from y86sim.lockstep import DemoCases, check_obligations, demo_spec
+from y86sim.lockstep import (
+    DemoCases,
+    check_obligations,
+    const_spec,
+    demo_spec,
+)
 from y86sim.machine import Machine
 from y86sim.mem_paged import PagedMemory
 
@@ -315,6 +320,24 @@ def test_check_const_stobj(capsys):
     assert "unsound-demo: 1 cases, ok" in out
 
 
+@pytest.mark.parametrize("misbehaviour, failed", [
+    # Every export is protected, so an unprotected double update passes.
+    (lambda protect=True, fault=None: const_spec(True, fault),
+     "  unprotected-double-update: 1 cases, 1 FAILED\n"
+     "    case 0 seed=0 args=(): no AtomicityViolation\n"),
+    # The armed abort never fires, so nothing poisons the state.
+    (lambda protect=True, fault=None: const_spec(protect),
+     "  protected-abort-poisons: 1 cases, 1 FAILED\n"
+     "    case 0 seed=0 args=(): fault did not propagate\n"),
+], ids=["double-update-admitted", "abort-not-raised"])
+def test_check_const_stobj_reports_a_protocol_that_misbehaves(
+        monkeypatch, capsys, misbehaviour, failed):
+    monkeypatch.setattr("y86sim.cli.const_spec", misbehaviour)
+    assert main(["check", "const-stobj"]) == 1
+    out = capsys.readouterr().out
+    assert failed in out and out.endswith("total failures: 1\n"), out
+
+
 def test_check_determinism(capsys, monkeypatch):
     main(["check", "demo-st", "--cases", "200", "--seed", "4"])
     first = capsys.readouterr().out
@@ -341,6 +364,14 @@ def test_verify_popcount_counts():
     cases, mismatches = verify_popcount(width=4, samples=5, seed=1)
     assert cases == 16 + 5
     assert mismatches == 0
+
+
+@pytest.mark.parametrize("samples", [-1, 1.5, True])
+def test_verify_popcount_refuses_a_sample_count_that_is_not_natural(samples):
+    # Without the check, -1 ran no random input, True one, and 1.5 raised
+    # TypeError from `range`.
+    with pytest.raises(ValueError, match="^samples must be a natural number$"):
+        verify_popcount(2, samples, 0)
 
 
 def test_popcount_verification_can_fail(monkeypatch, capsys):

@@ -100,6 +100,16 @@ def test_decode_mid_image_offset():
     assert decode(raw, 1) == (Instruction(Kind.HALT), 1)
 
 
+@pytest.mark.parametrize("offset", [True, False, 1.5, None])
+def test_decode_offset_obeys_the_one_range_rule(offset):
+    # Without it, True decoded the nop at offset 1 and 1.5 indexed the
+    # image with a float.  An int subclass in range is an offset.
+    with pytest.raises(InvalidInstruction,
+                       match=f"^offset {offset} outside image of 3 bytes$"):
+        decode(b"\x10\x00\x10", offset)
+    assert decode(b"\x10\x00\x10", Register.ECX) == (Instruction(Kind.HALT), 1)
+
+
 def test_first_byte_exhaustive_scan():
     # Oracle: the set of legal first bytes is derived from the encoder over
     # every valid instruction.  Any other first byte must be rejected no

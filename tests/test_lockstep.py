@@ -81,6 +81,8 @@ def test_broken_creator_fails_correspondence():
              "slot 17 is 1 concrete vs 0 abstract"),
             (demo_spec(), store_with(SlotStore.set_misc, "x"),
              "misc is 'x' concrete vs None abstract"),
+            (demo_spec(), OneField,
+             "concrete side is not a 100-slot SlotStore"),
             (const_spec(), field_of_one, "fld is 1 concrete vs 0 abstract")):
         broken = LockstepSpec(
             name="broken",
@@ -145,6 +147,47 @@ def test_unknown_export():
     dual = DualState(demo_spec())
     with pytest.raises(KeyError):
         dual.invoke("no-such-op")
+
+
+# Arguments each export of the shipped specs accepts on a fresh state.
+_VALID_ARGS = {
+    "y86": {"rgfi": (1,), "!rgfi": (1, 5), "eip": (), "!eip": (0x100,),
+            "memi": (0x10,), "!memi": (0x10, 7), "step": (), "run": (3,)},
+    "demo-st": {"lookup": (3,), "update": (3, 4), "misc": (),
+                "update-misc": ("x",)},
+    "const-stobj": {"get-fld": (), "change-fld": ()},
+}
+
+
+@pytest.mark.parametrize("make", [y86_spec, demo_spec, const_spec])
+def test_an_invoke_with_the_wrong_number_of_arguments_is_a_guard_violation(
+        make):
+    spec = make()
+    dual = DualState(spec)
+    valid_args = _VALID_ARGS[spec.name]
+    assert set(valid_args) == {e.name for e in spec.exports}
+    for name, valid in valid_args.items():
+        for args in [valid + (0,)] + ([valid[:-1]] if valid else []):
+            before = dual.concrete.update_count
+            with pytest.raises(GuardViolation,
+                               match=f"^export {re.escape(repr(name))}: "):
+                dual.invoke(name, *args)
+            assert dual.concrete.update_count == before and not dual.poisoned
+        dual.invoke(name, *valid)
+    assert dual.recognizer(audit=True)
+    if spec.name == "y86":
+        with pytest.raises(GuardViolation, match="^export 'rgfi': missing a "
+                                                 "required argument: 'i'$"):
+            dual.invoke("rgfi")
+
+
+def test_a_guard_that_raises_type_error_on_arguments_that_fit_reraises_it():
+    below = Export("below", "reader", logic_fn=lambda a, i: 0,
+                   exec_fn=lambda c, i: 0, guard=lambda a, i: i < 3)
+    dual = DualState(_spec_of(below))
+    with pytest.raises(TypeError, match="'<' not supported"):
+        dual.invoke("below", None)
+    assert dual.invoke("below", 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +774,24 @@ def test_shrinking_minimizes_counterexample():
                 for f in o.failures} == want
 
 
+def test_shrinking_skips_a_candidate_the_guard_rejects():
+    # Every argument fails, 0 too, but the guard rejects 0, so the shrinker
+    # never evaluates it and stops at 1.
+    evaluated = []
+    off_by_one = LockstepSpec(
+        name="off-by-one", recognizer_logic=lambda a: True,
+        creator_logic=lambda: 0, creator_exec=lambda: 0,
+        corr=lambda c, a: None,
+        exports=(Export("inc", "reader", logic_fn=lambda a, v: v,
+                        exec_fn=lambda c, v: evaluated.append(v) or v + 1,
+                        guard=lambda a, v: v != 0),))
+    report = check_obligations(off_by_one, _FixedArgs((40,)), n_cases=1,
+                               seed=1)
+    assert [f.shrunk_args for o in report.outcomes
+            for f in o.failures] == ["(1,)"]
+    assert 0 not in evaluated and evaluated[:3] == [40, 20, 10]
+
+
 def test_report_determinism_and_serialization():
     spec = demo_spec()
     a = check_obligations(spec, DemoCases(spec), n_cases=300, seed=5)
@@ -856,8 +917,13 @@ def _spec_of(*exports):
      "missing"),
     (lambda: cond_holds(7, 0, 0, 0), ValueError, "undefined condition 7"),
     (lambda: alu_bits(4, 0, 0), ValueError, "undefined ALU function 4"),
+    (lambda: DemoCases(demo_spec())._args_for("nope", random.Random(0),
+                                              EvenMap()), KeyError, "nope"),
+    (lambda: Y86Cases()._args_for("nope", random.Random(0), None), KeyError,
+     "nope"),
 ], ids=["duplicate-export", "writer-kind", "dualstate-mode",
-        "demo-corruption", "missing-outcome", "cond-holds", "alu-bits"])
+        "demo-corruption", "missing-outcome", "cond-holds", "alu-bits",
+        "demo-args-for", "y86-args-for"])
 def test_registration_and_argument_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

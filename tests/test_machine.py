@@ -55,6 +55,16 @@ def test_init_empty_image_reads_zero():
         assert m.read_byte(addr) == 0
 
 
+def test_repr_names_eip_status_and_memory():
+    m = Machine(PagedMemory(), eip=0x50)
+    assert repr(m) == ("Machine(eip=0x50, status=AOK, "
+                       "mem=PagedMemory(0 pages, 0 bytes backing))")
+    m.write_byte(0x50, 0x10)  # nop
+    m.step()
+    assert repr(m) == ("Machine(eip=0x51, status=AOK, mem=PagedMemory("
+                       f"1 pages, {PAGE_SIZE} bytes backing))")
+
+
 def test_init_deterministic(simple_assembled):
     image, symbols = simple_assembled
     mk = lambda: Machine(SparseMemory(), eip=symbols["main"], esp=8192,

@@ -93,6 +93,21 @@ def test_add_page_distinct_bases():
         mem.add_page(7)
 
 
+@pytest.mark.parametrize("top", [True, 1.5])
+def test_add_page_refuses_a_block_number_the_range_rule_rejects(top):
+    # Without the rule, True allocated block 1 and 1.5 indexed the table.
+    mem = PagedMemory()
+    mem.write(5, 9)
+    table, array = list(mem.table), mem.array
+    with pytest.raises(AddressOutOfRange,
+                       match=f"^block number {top} not in 0..255$"):
+        mem.add_page(top)
+    assert list(mem.table) == table and mem.array is array
+    assert (mem.next_addr, len(array), mem.update_count) == (PAGE_SIZE,
+                                                             PAGE_SIZE, 4)
+    assert mem.read(5) == 9 and mem.wellformed()
+
+
 def test_wellformed_violations_by_construction():
     mem = PagedMemory()
     mem.write(0, 3)

@@ -67,6 +67,10 @@ def test_touched():
     assert not adopted.wellformed()
 
 
+def test_a_sparse_memory_is_unequal_to_another_type():
+    assert SparseMemory() != {} and not SparseMemory({5: 9}) == {5: 9}
+
+
 def test_constructor_canonicalizes_and_validates():
     assert SparseMemory({7: 0}) == SparseMemory()
     with pytest.raises(AddressOutOfRange,
