@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import inspect
 import json
-import random
 import zlib
 from dataclasses import dataclass, field
+from random import Random
 from typing import Any, Callable, Literal
 
 from ..errors import (
@@ -284,7 +284,7 @@ class CaseSource:
         self._drawn = 0
         self._built = None  # the number of the draw that built the pair
 
-    def draw(self, export_name: str, rng: random.Random):
+    def draw(self, export_name: str, rng: Random):
         drawn = self._drawn
         self._drawn = drawn + 1
         if self._pair is None or drawn % self.RESET_EVERY == 0:
@@ -323,6 +323,10 @@ class CaseSource:
 
 @dataclass
 class FailureRecord:
+    """One failed case, named by its obligation (and so its export), its
+    case index and the suite seed; `check_obligations` with the same case
+    count and seed, on a fresh source, fails it again."""
+
     obligation: str
     case: int
     seed: int
@@ -454,9 +458,9 @@ def _shrink_args(spec, export, source, pristine, args):
     return best if best != original else None
 
 
-def _case_seed(suite_seed: int, export_name: str, case: int) -> int:
+def _export_seed(suite_seed: int, export_name: str) -> int:
     base = zlib.crc32(export_name.encode()) ^ (suite_seed & 0xFFFFFFFF)
-    return (base * 0x9E3779B1 + case * 0x85EBCA77) & 0xFFFFFFFF
+    return (base * 0x9E3779B1) & 0xFFFFFFFF
 
 
 def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
@@ -465,9 +469,13 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
 
     For each export, `n_cases` generated cases are checked for reader
     agreement or update correspondence, recognizer preservation, and the
-    exec precondition following from the guard.  Failures are recorded
-    with the reproducing case seed (and shrunk arguments when the source
-    supports snapshots), never raised.
+    exec precondition following from the guard.  Each export draws its
+    cases in order from one generator seeded by (`seed`, export name), from
+    a pool that carries over from one export to the next, so the whole
+    suite is one deterministic stream.  Failures are recorded, never
+    raised, by obligation, case index and `seed` (with shrunk arguments
+    when the source supports snapshots); the same `n_cases` and `seed` on
+    a fresh source reproduce each one, its pre-state included.
     """
     if not is_nat(n_cases):
         raise ValueError("case count must be a natural number")
@@ -489,14 +497,13 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
                     if export.kind == "updater" else None)
         family_out = {"corr": corr_out, "guard": guard_out, "pres": pres_out}
 
+        rng = Random(_export_seed(seed, export.name))
         for case in range(n_cases):
-            case_seed = _case_seed(seed, export.name, case)
-            rng = random.Random(case_seed)
             try:
                 concrete, abstract, args = source.draw(export.name, rng)
             except CorrespondenceFailure as exc:  # from a retired pair
                 corr_out.failures.append(FailureRecord(
-                    corr_out.name, case, case_seed, "()", str(exc)))
+                    corr_out.name, case, seed, "()", str(exc)))
                 continue
             if not export.guard(abstract, *args):
                 raise ValueError(
@@ -511,7 +518,7 @@ def check_obligations(spec: LockstepSpec, source: CaseSource, n_cases: int,
                 for family, message in failures:
                     out = family_out[family]
                     out.failures.append(FailureRecord(
-                        out.name, case, case_seed, repr(args), message,
+                        out.name, case, seed, repr(args), message,
                         shrunk_text))
                 source.mark_failure()
             elif export.kind == "updater":

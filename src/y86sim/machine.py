@@ -166,8 +166,10 @@ class Machine:
 
     def write_word(self, addr: int, value: int) -> None:
         """Store `value` little-endian at `addr`; a value that is not a word
-        (`is_nat` at MEM_SIZE) raises ValueOutOfRange and stores nothing."""
-        if not is_nat(value, MEM_SIZE):
+        (`is_nat` at MEM_SIZE, an exact int tested inline first) raises
+        ValueOutOfRange and stores nothing."""
+        if not (value.__class__ is int and 0 <= value < MEM_SIZE
+                or is_nat(value, MEM_SIZE)):
             raise ValueOutOfRange(f"value {value!r} not a 32-bit word")
         self.write_byte(addr, value & 0xFF)
         self.write_byte((addr + 1) & MASK32, (value >> 8) & 0xFF)

@@ -201,11 +201,6 @@ class PagedMemory:
                 and all(map(table.__contains__,
                             range(0, cursor, PAGE_SIZE))))
 
-    def blocks(self) -> list[int]:
-        """The first address of each allocated block, lowest first."""
-        return [top << 24 for top, base in enumerate(self.table)
-                if base != SENTINEL]
-
     def pages_allocated(self) -> int:
         return self.next_addr // PAGE_SIZE
 

@@ -3,7 +3,7 @@ from importlib import resources
 import pytest
 
 from y86sim import asm
-from y86sim.mem_paged import PagedMemory
+from y86sim.mem_paged import SENTINEL, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
 
@@ -31,6 +31,12 @@ def popcount_assembled():
 @pytest.fixture(scope="session")
 def stress_assembled():
     return asm.assemble(asm.parse(program_text("stress.ys")))
+
+
+def allocated_blocks(mem: PagedMemory) -> list[int]:
+    """The first address of each block `mem`'s table maps, lowest first."""
+    return [top << 24 for top, base in enumerate(mem.table)
+            if base != SENTINEL]
 
 
 class StrayPaged(PagedMemory):

@@ -21,6 +21,8 @@ from y86sim.machine import (
 from y86sim.mem_paged import MEM_SIZE, PAGE_SIZE, SENTINEL, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
+from conftest import allocated_blocks
+
 BLOCKS = (0, 1, 7, 255)
 BACKENDS = (PagedMemory, SparseMemory)
 
@@ -318,7 +320,7 @@ def recorded_lockstep(monkeypatch, concrete, abstract, seed):
     calls = []
 
     def recording(c, a, addrs=()):
-        calls.append((list(addrs), c.mem.blocks()))
+        calls.append((list(addrs), allocated_blocks(c.mem)))
         return mismatch(c, a, addrs)
 
     monkeypatch.setattr(machine, "mismatch", recording)

@@ -675,6 +675,48 @@ def test_a_pool_history_failure_names_the_draws_of_its_pair(monkeypatch):
                                   for k in range(250, 2250, 250)]
 
 
+@pytest.mark.parametrize("mutant", ["stray-write", "stale-decode-cache"])
+def test_a_y86_failure_replays_from_its_suite_seed_and_case(monkeypatch,
+                                                            mutant):
+    # A failure names its suite seed, obligation and case index.  One
+    # generator per export and a pool built only from that stream make a
+    # re-run on a fresh source reach each case from the same pre-state.
+    if mutant == "stray-write":
+        monkeypatch.setattr("y86sim.lockstep.fixtures.PagedMemory",
+                            StrayPaged)
+    else:
+        monkeypatch.setattr(Machine, "write_byte",
+                            _write_byte_keeping_a_stale_cache)
+    first = check_obligations(y86_spec(), Y86Cases(), 300, seed=7)
+    failures = [f for o in first.outcomes for f in o.failures]
+    assert failures, first.to_text()
+    again = check_obligations(y86_spec(), Y86Cases(), 300, failures[0].seed)
+    assert again.to_records() == first.to_records()
+    for f in failures:
+        assert f.seed == 7
+        assert [g.message for g in again.outcome(f.obligation).failures
+                if g.case == f.case] == [f.message]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (y86_spec(), Y86Cases()),
+    lambda: (demo_spec(), DemoCases(demo_spec())),
+], ids=["y86", "demo-st"])
+def test_a_suite_builds_one_generator_per_export(monkeypatch, make):
+    seeds = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr("y86sim.lockstep.core.Random", CountingRandom)
+    spec, source = make()
+    report = check_obligations(spec, source, 100, seed=1)
+    assert report.ok, report.to_text()
+    assert len(seeds) == len(set(seeds)) == len(spec.exports)
+
+
 def test_y86_suite_names_the_store_a_logic_side_adds():
     # This !memi logic side also zeroes the byte at eip.  Its copy records
     # into the case's write set, so the case compares that address.

@@ -25,7 +25,7 @@ from y86sim.machine import ESP, Machine, mismatch, run_in_lockstep
 from y86sim.mem_paged import PAGE_SIZE, PagedMemory
 from y86sim.mem_sparse import SparseMemory
 
-from conftest import StrayPaged
+from conftest import StrayPaged, allocated_blocks
 
 EAX, ECX, EDX, EBX = 0, 1, 2, 3
 
@@ -813,7 +813,8 @@ def test_lockstep_reports_a_stray_byte_on_every_run(monkeypatch, pagemap,
 
         def plant(line):
             # Stored behind both machines' backs once block 7 exists.
-            if when == "during" and len(concrete.mem.blocks()) == 2:
+            if (when == "during"
+                    and len(allocated_blocks(concrete.mem)) == 2):
                 concrete.mem.write(stray, 0xEE)
 
         with pytest.raises(CorrespondenceFailure) as info:

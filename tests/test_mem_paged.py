@@ -25,6 +25,8 @@ from y86sim.mem_paged import (
 )
 from y86sim.mem_sparse import SparseMemory
 
+from conftest import allocated_blocks
+
 # Keep generated addresses within a few blocks so tests stay small.
 TEST_BLOCKS = (0, 1, 3, 255)
 
@@ -192,10 +194,10 @@ def test_paged_wellformed_reads_true_as_the_sentinel_and_0_0_as_base_0():
 
 def test_blocks_lists_allocated_blocks_lowest_first():
     mem = PagedMemory()
-    assert mem.blocks() == []
+    assert allocated_blocks(mem) == []
     for block in (200, 7, 0):
         mem.add_page(block)
-    assert mem.blocks() == [0, 7 << 24, 200 << 24]
+    assert allocated_blocks(mem) == [0, 7 << 24, 200 << 24]
 
 
 def test_pages_allocated_examples():
@@ -314,8 +316,10 @@ def test_copy_taken_midway_stays_independent_while_both_grow():
         dup.write(block_addr(top, PAGE_SIZE - 1), 0xB0 | top & 0xF)
     dup.write(block_addr(9, 77), 0xDD)
 
-    assert mem.blocks() == [block_addr(t, 0) for t in (1, 2, 4, 9, 30)]
-    assert dup.blocks() == [block_addr(t, 0) for t in (1, 3, 4, 9, 60, 200)]
+    assert allocated_blocks(mem) == [block_addr(t, 0)
+                                     for t in (1, 2, 4, 9, 30)]
+    assert allocated_blocks(dup) == [block_addr(t, 0)
+                                     for t in (1, 3, 4, 9, 60, 200)]
     assert [mem.read(block_addr(t, 77)) for t in (1, 4, 9)] == [1, 0xEE, 9]
     assert [dup.read(block_addr(t, 77)) for t in (1, 4, 9)] == [1, 4, 0xDD]
     assert [mem.read(block_addr(t, 5)) for t in (30, 2)] == [0xBE, 0xA2]
@@ -405,7 +409,7 @@ def test_a_refused_growth_is_an_allocation_failure(monkeypatch):
 def full_scan(mem):
     """(address, chunk) of every nonzero chunk, found by reading them all."""
     found = []
-    for block in mem.blocks():
+    for block in allocated_blocks(mem):
         base = mem.table[block >> 24]
         for offset in range(0, PAGE_SIZE, CHUNK):
             chunk = mem.array[base + offset:base + offset + CHUNK]
