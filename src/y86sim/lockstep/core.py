@@ -147,10 +147,9 @@ class DualState:
 
         Without `audit` the answer is O(1) and trusts the state: in check
         mode every abstract value it has held already passed the recognizer.
-        With `audit` it costs one recognizer call.  For y86 that is O(1)
-        when the machine's memory history began in `SparseMemory(...)`,
-        canonical by construction, and one read of the whole map when it
-        was adopted unchecked by `SparseMemory._from_raw`.
+        With `audit` it costs one recognizer call.  For y86 that is O(1):
+        every sparse history is canonical by construction, so its
+        `wellformed()` reads none of the map.
         """
         if self.poisoned:
             return False

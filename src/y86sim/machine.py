@@ -379,40 +379,32 @@ def correspondence(concrete, abstract):
     lowest page that differs is compared: so the memories are equal as
     functions.  Counts that differ with no page to show it, as from a
     pagemap that leaves a page out, are named as a difference too.  The
-    recognizer is not part of it: a sparse entry that holds
-    0 is no difference."""
-    return _compare(concrete, abstract)[0]
-
-
-def _compare(concrete, abstract):
-    """`correspondence`'s verdict and how many write-set or `touched()`
-    addresses it compared, so a caller need not read the sparse map again
-    to count them."""
+    recognizer is not part of it."""
     if not (isinstance(concrete, Machine)
             and isinstance(concrete.mem, PagedMemory)
             and isinstance(abstract, Machine)
             and isinstance(abstract.mem, SparseMemory)):
-        return "the pair is not a paged machine and a sparse one", 0
+        return "the pair is not a paged machine and a sparse one"
     mem = concrete.mem
     if not mem.wellformed():
-        return "the paged memory is not wellformed()", 0
+        return "the paged memory is not wellformed()"
     written = concrete._step_writes
     if written is not None and written is abstract._step_writes:
-        return mismatch(concrete, abstract, written), len(written)
+        return mismatch(concrete, abstract, written)
     addrs = [*abstract.mem.touched()]
     difference = mismatch(concrete, abstract, addrs)
     if difference is not None:
-        return difference, len(addrs)
+        return difference
     nonzero = sum(len(chunk) - chunk.count(0)
                   for _, chunk in mem.nonzero_chunks())
     if nonzero == len(addrs):
-        return None, len(addrs)
+        return None
     for addr, chunk in mem.nonzero_chunks():
         if chunk != abstract.mem.read_span(addr, len(chunk)):
             span = range(addr, addr + len(chunk))
-            return mismatch(concrete, abstract, span), len(addrs)
+            return mismatch(concrete, abstract, span)
     return (f"nonzero byte count is {nonzero} concrete vs {len(addrs)} "
-            f"abstract, and no page named differs", len(addrs))
+            f"abstract, and no page named differs")
 
 
 def _divergence(when: str, difference: str, recent) -> CorrespondenceFailure:
@@ -435,7 +427,7 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
     the first divergence, naming the step, the first difference and the
     last few eips.  `seed` draws nothing.  `addresses_checked` counts the
     addresses `mismatch` compared: each step's write set, then the
-    addresses the sparse memory's `touched()` names.
+    bytes the sparse memory holds, all of which `touched()` names.
     `trace`, when given, is called with the abstract side's trace line for
     each step as it runs.
     """
@@ -465,8 +457,9 @@ def run_in_lockstep(concrete: Machine, abstract: Machine, n: int, *,
             written.clear()
     finally:
         concrete._step_writes = abstract._step_writes = None
-    difference, swept = _compare(concrete, abstract)
+    difference = correspondence(concrete, abstract)
     if difference is not None:
         raise _divergence(f"in the final sweep after step {steps}", difference,
                           recent)
-    return LockstepReport(steps=steps, addresses_checked=checked + swept)
+    return LockstepReport(steps=steps,
+                          addresses_checked=checked + len(abstract.mem))

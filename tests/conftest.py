@@ -4,7 +4,7 @@ import pytest
 
 from y86sim import asm
 from y86sim.mem_paged import SENTINEL, PagedMemory
-from y86sim.mem_sparse import SparseMemory
+from y86sim.mem_sparse import MEM_SIZE, SparseMemory
 
 
 def program_text(name: str) -> str:
@@ -77,11 +77,39 @@ class CountingDict(dict):
     del _scanning
 
 
+# Sparse entry maps, well-formed and not, for the constructor and `write`.
+SPARSE_ENTRY_TABLE = (
+    {}, {5: 9}, {0: 1, MEM_SIZE - 1: 255}, {5: 0}, {5: 256}, {5: -1},
+    {-1: 3}, {MEM_SIZE: 3}, {1.5: 3}, {7: 2.5}, {5: 9, 6: 0, 7: 1})
+
+
+def canonical(data) -> bool:
+    """Whether every key of `data` is a 32-bit int and every value a nonzero
+    byte int: the per-entry statement of a canonical sparse map."""
+    return all(isinstance(k, int) and isinstance(v, int)
+               and 0 <= k < MEM_SIZE and 1 <= v <= 0xFF
+               for k, v in data.items())
+
+
+class MalformedSparse(SparseMemory):
+    """A sparse memory that adopts `data` unchecked, as no `SparseMemory`
+    constructor or `write` would, and whose `wellformed()` reads it whole."""
+
+    __slots__ = ()
+
+    def __init__(self, data):
+        self._data = data
+
+    def wellformed(self):
+        return canonical(self._reroot())
+
+
 @pytest.fixture
 def counted_sparse():
-    """`counted_sparse(entries)` returns a SparseMemory of `entries` (each
-    byte nonzero) and the CountingDict that its history keeps."""
+    """`counted_sparse(entries)` returns a SparseMemory of `entries` and the
+    CountingDict that its history keeps, holding its nonzero entries."""
     def make(entries):
-        data = CountingDict(entries)
-        return SparseMemory._from_raw(data), data
+        mem = SparseMemory(entries)
+        mem._data = data = CountingDict(mem._data)
+        return mem, data
     return make

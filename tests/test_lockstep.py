@@ -37,9 +37,9 @@ from y86sim.lockstep import (
 from y86sim.lockstep.fixtures import SLOT_COUNT
 from y86sim.machine import Machine, correspondence
 from y86sim.mem_paged import CHUNK, PagedMemory
-from y86sim.mem_sparse import SparseMemory, _canonical
+from y86sim.mem_sparse import SparseMemory
 
-from conftest import StrayPaged
+from conftest import MalformedSparse, StrayPaged
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +405,14 @@ def test_y86_corr_compares_every_byte_the_sparse_memory_holds():
 
 
 def test_y86_corr_finds_a_stray_byte_beside_a_zero_sparse_entry():
-    # A zero-valued entry of an adopted sparse map must not cancel a stray
-    # paged byte in the nonzero-byte count: `touched()` leaves it out, so it
-    # is neither compared nor counted.
+    # An entry of 0 must not cancel a stray paged byte in the nonzero-byte
+    # count: the constructor drops it, so it is neither compared nor counted.
     concrete = Machine(PagedMemory())
     concrete.mem.write(0x200, 5)
-    for entries in ({0x100: 0}, {}):
-        abstract = Machine(SparseMemory._from_raw(entries))
-        assert (correspondence(concrete, abstract)
+    for mem in (SparseMemory({0x100: 0}), SparseMemory()):
+        assert (correspondence(concrete, Machine(mem))
                 == "memory at 0x200 is 0x05 concrete vs 0x00 abstract")
-    assert (correspondence(concrete, Machine(SparseMemory()))
-            == "memory at 0x200 is 0x05 concrete vs 0x00 abstract")
-    abstract = Machine(SparseMemory._from_raw({0x100: 0, 0x200: 5}))
+    abstract = Machine(SparseMemory({0x100: 0, 0x200: 5}))
     assert correspondence(concrete, abstract) is None
 
 
@@ -436,22 +432,29 @@ def test_y86_corr_fails_closed_when_the_counts_disagree(monkeypatch):
 
 
 def test_y86_malformed_memory_is_caught_by_preservation_alone():
-    # This !memi keeps a zero-valued entry, which a canonical sparse memory
-    # never holds.  Both sides read 0 there, so the pair corresponds; the
-    # recognizer, checked as the PRESERVED obligation, rejects the map.
+    # This !memi stores 1 on the concrete side, and on the abstract side an
+    # entry that reads as 1 but is not an int, which neither the constructor
+    # nor `write` of `SparseMemory` stores.  Both sides read 1 there, so the
+    # pair corresponds; the recognizer, checked as the PRESERVED obligation,
+    # rejects the map.  An entry of 0 would not do: a whole comparison, as
+    # `DualState` makes, counts every entry as a held byte.
     spec = y86_spec()
 
-    def keep_zero_entry(a, i, v):
+    class ReadsAsOne:
+        def __index__(self):
+            return 1
+
+    def keep_non_int_entry(a, i, v):
         m = a.copy()
-        m.mem = SparseMemory._from_raw({**dict(m.mem.items()), i: 0})
+        m.mem = MalformedSparse({**dict(m.mem.items()), i: ReadsAsOne()})
         return m
 
     exports = tuple(
-        dataclasses.replace(e, logic_fn=keep_zero_entry,
-                            exec_fn=lambda c, i, v: c.write_byte(i, 0))
+        dataclasses.replace(e, logic_fn=keep_non_int_entry,
+                            exec_fn=lambda c, i, v: c.write_byte(i, 1))
         if e.name == "!memi" else e
         for e in spec.exports)
-    variant = dataclasses.replace(spec, name="y86[zero-entry]",
+    variant = dataclasses.replace(spec, name="y86[non-int-entry]",
                                   exports=exports)
     report = check_obligations(variant, Y86Cases(), n_cases=40, seed=5)
     assert report.outcome("!memi{PRESERVED}").failures
@@ -506,36 +509,26 @@ def test_y86_recognizer_scan_costs_later_stores_nothing(counted_sparse):
     mem, data = counted_sparse({0x100 + i: 7 for i in range(3000)})
     a = Machine(mem)
     a.write_byte(0, 1)
-    assert spec.recognizer_logic(a) and data.scans == 1
+    assert spec.recognizer_logic(a) and data.scans == 0
     for addr in range(1, 200):
         a.write_byte(addr, 2)
-    assert data.scans == 1   # no store after the scan reads the map whole
+    assert spec.recognizer_logic(a) and data.scans == 0
     assert a.read_byte(0) == 1 and a.read_byte(199) == 2 and len(a.mem) == 3200
 
 
 def test_y86_recognizer_reads_no_entry_of_a_history_sparsememory_began(
-        monkeypatch):
-    scans = []
-
-    def counted(data):
-        scans.append(len(data))
-        return _canonical(data)
-
-    monkeypatch.setattr("y86sim.mem_sparse._canonical", counted)
+        counted_sparse):
     spec = y86_spec()
+    mem, data = counted_sparse({0x100 + i: 7 for i in range(3000)})
+    m = Machine(mem)
+    m.write_byte(0x100, 0)
+    assert spec.recognizer_logic(m) and spec.recognizer_logic(Machine(mem))
+    assert spec.recognizer_logic(m) and data.scans == 0
+    # A map that no constructor built is rejected for its entry of 0 alone.
     entries = {0x100 + i: 7 for i in range(3000)}
-    trusted = Machine(SparseMemory(entries))
-    first = trusted.mem
-    trusted.write_byte(0x100, 0)
-    assert spec.recognizer_logic(trusted) and spec.recognizer_logic(
-        Machine(first))
-    assert scans == []
-    raw = Machine(SparseMemory._from_raw(entries))
-    assert spec.recognizer_logic(raw) and scans == [3000]
-    raw.write_byte(0x100, 0)   # a raw history stays scanned after a write
-    assert spec.recognizer_logic(raw) and scans == [3000, 2999]
+    assert spec.recognizer_logic(Machine(MalformedSparse(entries)))
     entries[0x101] = 0
-    assert not spec.recognizer_logic(raw) and scans == [3000, 2999, 2999]
+    assert not spec.recognizer_logic(Machine(MalformedSparse(entries)))
 
 
 def test_y86_pool_pairs_correspond_and_are_recognized():

@@ -661,11 +661,18 @@ def test_lockstep_simple(simple_assembled):
     assert concrete.regs[EAX] == abstract.regs[EAX] == 1023
 
 
-def test_lockstep_counts_only_the_bytes_an_adopted_map_holds():
-    # An adopted entry that holds 0 is not compared, so it is not counted.
-    abstract = Machine(SparseMemory._from_raw({0x100: 0}))
+def test_lockstep_counts_only_the_bytes_the_sparse_map_holds():
+    # The final sweep counts the bytes the sparse memory holds: none for an
+    # entry of 0, which the constructor drops, and one for a byte that both
+    # sides hold.
+    abstract = Machine(SparseMemory({0x100: 0}))
     report = run_in_lockstep(Machine(PagedMemory()), abstract, 5)
     assert report.steps == 1 and report.addresses_checked == 0
+    concrete, abstract = Machine(PagedMemory()), Machine(SparseMemory())
+    for m in (concrete, abstract):
+        m.write_byte(0x100, 7)
+    report = run_in_lockstep(concrete, abstract, 5)
+    assert report.steps == 1 and report.addresses_checked == 1
 
 
 def test_lockstep_random_programs():

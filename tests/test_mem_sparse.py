@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from y86sim.errors import AddressOutOfRange, ValueOutOfRange
-from y86sim.mem_sparse import MEM_SIZE, SparseMemory, _canonical
+from y86sim.mem_sparse import MEM_SIZE, SparseMemory
+
+from conftest import SPARSE_ENTRY_TABLE, canonical
 
 addrs = st.integers(0, MEM_SIZE - 1)
 bytes_ = st.integers(0, 255)
@@ -58,13 +60,9 @@ def test_touched():
     assert mem.touched() == frozenset({5, 8})
     assert mem.write(5, 0).touched() == frozenset({8})
     assert mem.items() == [(5, 9), (8, 1)]
-    # An adopted map's entry that holds 0 holds no byte.
-    adopted = SparseMemory._from_raw({5: 0, 8: 1})
-    assert adopted.touched() == adopted.write(9, 2).touched() - {9} == {8}
-    # `len` and `repr` count what `touched()` names; the map stays malformed.
-    assert len(adopted) == 1 and len(adopted.write(9, 2)) == 2
-    assert repr(adopted) == "SparseMemory(1 bytes set)"
-    assert not adopted.wellformed()
+    # `len` and `repr` count what `touched()` names.
+    assert len(mem) == 2 and len(mem.write(9, 2)) == 3
+    assert repr(mem) == "SparseMemory(2 bytes set)"
 
 
 def test_a_sparse_memory_is_unequal_to_another_type():
@@ -107,10 +105,26 @@ def test_write_on_any_version_checks_and_keeps_canonical_form():
     assert old.write(7, 0) == SparseMemory() and len(new) == 2
 
 
-def test_wellformed_backdoor_violations():
-    assert SparseMemory({5: 9}).wellformed()
-    assert not SparseMemory._from_raw({5: 0}).wellformed()
-    assert not SparseMemory._from_raw({MEM_SIZE: 3}).wellformed()
+def test_write_refuses_every_malformed_entry_on_any_version():
+    # `write` makes every later version: each store it admits keeps the map
+    # canonical, and one it refuses leaves every version reading as before,
+    # whether it is made on the version holding the dict or on an older one.
+    old = SparseMemory({7: 1})
+    new = old.write(8, 3)
+    for data in SPARSE_ENTRY_TABLE:
+        for addr, value in data.items():
+            for holder, mem in ((new, new), (new, old), (old, old), (old, new)):
+                holder.read(0)   # reroot the history at `holder`
+                try:
+                    made = mem.write(addr, value)
+                except (AddressOutOfRange, ValueOutOfRange):
+                    # A store of 0 unbinds, so only its address can be bad.
+                    assert not canonical({addr: value or 1}), (addr, value)
+                else:
+                    assert canonical(made._reroot()) and made.wellformed()
+                    assert made.read(addr) == value, (addr, value)
+                assert old.items() == [(7, 1)], (addr, value)
+                assert new.items() == [(7, 1), (8, 3)], (addr, value)
 
 
 @given(addrs, addrs, bytes_)
@@ -146,11 +160,10 @@ history_ops = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(hot_addrs, bytes_, max_size=6), history_ops)
 def test_memp_preserved_by_write(entries, ops):
-    # A history that `SparseMemory(...)` began is canonical by construction,
-    # so `wellformed()` answers it without reading the map; here the scan
-    # reads the live dict at every version.  Operation k uses version k
-    # mod the number of versions, so reads and writes on old versions
-    # reroot the history.
+    # Every history is canonical by construction, so `wellformed()` reads
+    # nothing; here `canonical` reads the live dict at every version to
+    # check that.  Operation k uses version k mod the number of versions,
+    # so reads and writes on old versions reroot the history.
     versions = [SparseMemory(entries)]
     for op, k, addr, value in ops:
         mem = versions[k % len(versions)]
@@ -159,9 +172,9 @@ def test_memp_preserved_by_write(entries, ops):
             versions.append(mem)
         else:
             mem.read(addr)
-        assert _canonical(mem._reroot())
+        assert canonical(mem._reroot())
     for mem in versions:
-        assert _canonical(mem._reroot()) and mem.wellformed()
+        assert canonical(mem._reroot()) and mem.wellformed()
 
 
 def test_against_plain_dict_oracle():
